@@ -27,7 +27,7 @@ use crate::conflict::{resolve, AccessPolicy, Decision, DirectRule};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
-use crate::secdoc::{decrypt_chunk, SecureDocument};
+use crate::secdoc::{chunk_cipher, decrypt_chunk_into, SecureDocument};
 use crate::skipindex::decode::decode_all;
 use sdds_card::CostLedger;
 
@@ -208,6 +208,8 @@ impl DomBaseline {
         document.header.verify(key)?;
         let mut ledger = CostLedger::new();
         let mut plaintext = Vec::with_capacity(document.header.plaintext_len as usize);
+        let cipher = chunk_cipher(key);
+        let mut clear = Vec::new();
         for index in 0..document.chunk_count() {
             // lint: infallible — `index` ranges over `chunk_count()`.
             let chunk = document.chunk(index).expect("index in range");
@@ -217,9 +219,9 @@ impl DomBaseline {
                 .channel
                 .record_exchange(chunk.len() + proof.encode().len(), 0);
             ledger.record_hash(chunk.len());
-            let clear = decrypt_chunk(key, &document.header, index as u32, chunk);
+            decrypt_chunk_into(&cipher, &document.header, index as u32, chunk, &mut clear);
             ledger.record_decrypt(clear.len());
-            plaintext.extend(clear);
+            plaintext.extend_from_slice(&clear);
         }
         let events = decode_all(&plaintext, document.header.recursive_bitmaps)?;
         ledger.record_events(events.len());

@@ -18,7 +18,7 @@
 use sdds_card::apdu::{ins, Apdu, ApduResponse, StatusWord};
 use sdds_card::{Applet, CardError, CostLedger, SmartCard};
 use sdds_crypto::merkle::MerkleProof;
-use sdds_crypto::{KeyId, SecretKey};
+use sdds_crypto::{Aes128, KeyId, SecretKey};
 use sdds_xml::{writer, Event, TagDict};
 use sdds_xpath::tagset::PathSignature;
 
@@ -27,7 +27,7 @@ use crate::error::CoreError;
 use crate::evaluator::{EvaluatorConfig, EvaluatorStats, StreamingEvaluator};
 use crate::query::Query;
 use crate::rule::{RuleSet, Sign, Subject};
-use crate::secdoc::{decrypt_chunk, DocumentHeader, SecureDocument};
+use crate::secdoc::{chunk_cipher, decrypt_chunk_into, DocumentHeader, SecureDocument};
 use crate::session::{KeyProvisioning, ProtectedRules};
 use crate::skipindex::decode::{ReadResult, TokenEvent, TokenReader};
 use crate::skipindex::encode::SubtreeSummary;
@@ -97,7 +97,11 @@ pub struct SessionStats {
 /// The incremental SOE session.
 pub struct SecureEvaluationSession {
     header: DocumentHeader,
-    key: SecretKey,
+    /// The document's chunk cipher, expanded once at open.
+    cipher: Aes128,
+    /// Decrypted plaintext of the chunk being supplied; reused for every
+    /// chunk of the session.
+    plaintext: Vec<u8>,
     config: EngineConfig,
     evaluator: Option<StreamingEvaluator>,
     reader: Option<TokenReader>,
@@ -125,8 +129,9 @@ impl std::fmt::Debug for SecureEvaluationSession {
 }
 
 impl SecureEvaluationSession {
-    /// Opens a session: verifies the document header under `key` and prepares
-    /// the evaluator.
+    /// Opens a session: verifies the document header under `key`, expands the
+    /// document's chunk cipher and prepares the evaluator. The session keeps
+    /// the expanded cipher, not `key`.
     pub fn open(
         header: DocumentHeader,
         key: SecretKey,
@@ -136,7 +141,8 @@ impl SecureEvaluationSession {
         let evaluator = StreamingEvaluator::new(&config.evaluator)?;
         Ok(SecureEvaluationSession {
             header,
-            key,
+            cipher: chunk_cipher(&key),
+            plaintext: Vec::new(),
             config,
             evaluator: Some(evaluator),
             reader: None,
@@ -277,8 +283,15 @@ impl SecureEvaluationSession {
         proof.verify(ciphertext, &self.header.merkle_root)?;
         self.stats.ledger.record_hash(ciphertext.len());
 
-        // 2. Decrypt.
-        let plaintext = decrypt_chunk(&self.key, &self.header, index, ciphertext);
+        // 2. Decrypt into the session's chunk buffer.
+        decrypt_chunk_into(
+            &self.cipher,
+            &self.header,
+            index,
+            ciphertext,
+            &mut self.plaintext,
+        );
+        let plaintext = &self.plaintext;
         self.stats.ledger.record_decrypt(plaintext.len());
         self.stats.chunks_fetched += 1;
         self.last_supplied_chunk = Some(index);
@@ -287,9 +300,9 @@ impl SecureEvaluationSession {
         // 3. Feed the reader (building it first if the dictionary is still
         //    incomplete).
         if let Some(reader) = self.reader.as_mut() {
-            reader.supply(chunk_start, &plaintext)?;
+            reader.supply(chunk_start, plaintext)?;
         } else {
-            self.dict_buf.extend_from_slice(&plaintext);
+            self.dict_buf.extend_from_slice(plaintext);
             if (self.dict_buf.len() as u64) < self.header.tokens_start {
                 self.next_chunk += 1;
                 self.check_ram()?;
@@ -804,7 +817,7 @@ mod tests {
     use super::*;
     use crate::baseline::authorized_view_oracle;
     use crate::conflict::AccessPolicy;
-    use crate::secdoc::SecureDocumentBuilder;
+    use crate::secdoc::{decrypt_chunk, SecureDocumentBuilder};
     use crate::skipindex::encode::EncoderConfig;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
     use sdds_xml::{writer, Document};
@@ -969,6 +982,92 @@ mod tests {
         assert!(session
             .supply_chunk(index, secure.chunk(index as usize).unwrap(), &other_proof)
             .is_err());
+    }
+
+    #[test]
+    fn session_decrypt_matches_decrypt_chunk_in_one_reused_buffer() {
+        let doc = hospital_doc(6);
+        let secure = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&doc);
+        assert!(
+            secure.chunk_count() > 8,
+            "the document must span many chunks"
+        );
+        let config = config_for("doctor").without_skip_index();
+        let mut session =
+            SecureEvaluationSession::open(secure.header.clone(), key(), config).unwrap();
+        let mut capacity = None;
+        let mut supplied = 0;
+        while let SessionRequest::NeedChunk(index) = session.next_request() {
+            let chunk = secure.chunk(index as usize).unwrap();
+            let proof = secure.proof(index as usize).unwrap();
+            session.supply_chunk(index, chunk, &proof).unwrap();
+            assert_eq!(
+                session.plaintext,
+                decrypt_chunk(&key(), &secure.header, index, chunk),
+                "chunk {index}"
+            );
+            // The first (full-size) chunk sizes the buffer; later chunks reuse it.
+            let first = *capacity.get_or_insert(session.plaintext.capacity());
+            assert_eq!(session.plaintext.capacity(), first, "chunk {index}");
+            supplied += 1;
+        }
+        assert_eq!(supplied, secure.chunk_count());
+    }
+
+    #[test]
+    fn flipped_or_swapped_chunks_fail_integrity_before_decryption() {
+        let doc = hospital_doc(4);
+        let secure = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&doc);
+        let config = config_for("doctor").without_skip_index();
+        let mut session =
+            SecureEvaluationSession::open(secure.header.clone(), key(), config).unwrap();
+        let proof0 = secure.proof(0).unwrap();
+        session
+            .supply_chunk(0, secure.chunk(0).unwrap(), &proof0)
+            .unwrap();
+        let SessionRequest::NeedChunk(index) = session.next_request() else {
+            panic!("expected a chunk request");
+        };
+        let before = session.plaintext.clone();
+        let decrypted = session.stats().ledger.bytes_decrypted;
+        let fetched = session.stats().chunks_fetched;
+        let proof = secure.proof(index as usize).unwrap();
+
+        let mut flipped = secure.chunk(index as usize).unwrap().to_vec();
+        flipped[3] ^= 0x01;
+        let swapped = secure.chunk(index as usize + 1).unwrap();
+        for (what, chunk) in [("flipped", &flipped[..]), ("swapped", swapped)] {
+            let result = session.supply_chunk(index, chunk, &proof);
+            assert!(
+                matches!(
+                    result,
+                    Err(CoreError::Crypto(
+                        sdds_crypto::CryptoError::IntegrityFailure { .. }
+                    ))
+                ),
+                "{what} chunk {index}: {result:?}"
+            );
+            assert_eq!(session.plaintext, before, "{what}: nothing decrypted");
+            assert_eq!(session.stats().ledger.bytes_decrypted, decrypted);
+            assert_eq!(session.stats().chunks_fetched, fetched);
+        }
+        // The genuine chunk is still accepted at that position.
+        session
+            .supply_chunk(index, secure.chunk(index as usize).unwrap(), &proof)
+            .unwrap();
+        assert_eq!(
+            session.plaintext,
+            decrypt_chunk(
+                &key(),
+                &secure.header,
+                index,
+                secure.chunk(index as usize).unwrap()
+            )
+        );
     }
 
     #[test]

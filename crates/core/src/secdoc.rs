@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use sdds_crypto::hmac::{hmac_sha256, verify_mac};
 use sdds_crypto::merkle::{MerkleProof, MerkleTree};
-use sdds_crypto::modes::{chunk_iv, ctr_apply};
+use sdds_crypto::modes::{chunk_iv, ctr_apply, ctr_apply_into};
 use sdds_crypto::{Aes128, CryptoError, SecretKey};
 use sdds_xml::Document;
 
@@ -227,8 +227,32 @@ impl SecureDocument {
     }
 }
 
-/// Decrypts one chunk given the document key and header (used by the SOE after
-/// integrity verification).
+/// Expands the chunk cipher of every document encrypted under `key`: the
+/// AES-128 schedule of its `doc-enc` subkey. A reader expands it once and
+/// reuses it for every chunk of the document.
+pub(crate) fn chunk_cipher(key: &SecretKey) -> Aes128 {
+    Aes128::new(key.subkey("doc-enc").as_bytes())
+}
+
+/// Decrypts chunk `index` of the document described by `header` with its
+/// expanded [`chunk_cipher`], into `plaintext` (cleared first, so one buffer
+/// serves every chunk of a session).
+// taint: source — re-introduces cleartext from a verified ciphertext chunk;
+// callable only on the card side, which holds the expanded document cipher.
+pub(crate) fn decrypt_chunk_into(
+    cipher: &Aes128,
+    header: &DocumentHeader,
+    index: u32,
+    ciphertext: &[u8],
+    plaintext: &mut Vec<u8>,
+) {
+    let iv = chunk_iv(&header.nonce, u64::from(index));
+    ctr_apply_into(cipher, &iv, ciphertext, plaintext);
+}
+
+/// Decrypts one chunk given the document key and header. It derives and
+/// expands the chunk cipher on every call; the SOE session expands it once
+/// per document instead.
 // taint: source — re-introduces cleartext from a verified ciphertext chunk;
 // callable only on the card side, which holds the document key.
 pub fn decrypt_chunk(
@@ -237,10 +261,15 @@ pub fn decrypt_chunk(
     index: u32,
     ciphertext: &[u8],
 ) -> Vec<u8> {
-    let enc_key = key.subkey("doc-enc");
-    let cipher = Aes128::new(enc_key.as_bytes());
-    let iv = chunk_iv(&header.nonce, u64::from(index));
-    ctr_apply(&cipher, &iv, ciphertext)
+    let mut plaintext = Vec::new();
+    decrypt_chunk_into(
+        &chunk_cipher(key),
+        header,
+        index,
+        ciphertext,
+        &mut plaintext,
+    );
+    plaintext
 }
 
 /// Builder for [`SecureDocument`].
@@ -291,8 +320,7 @@ impl SecureDocumentBuilder {
         let plaintext = encoded.plaintext();
         let tokens_start = encoded.dict.encoded_len() as u64;
 
-        let enc_key = self.key.subkey("doc-enc");
-        let cipher = Aes128::new(enc_key.as_bytes());
+        let cipher = chunk_cipher(&self.key);
         let mut chunks = Vec::with_capacity(plaintext.len().div_ceil(self.chunk_size).max(1));
         if plaintext.is_empty() {
             chunks.push(Arc::from(&[][..]));

@@ -7,7 +7,8 @@
 //! implemented from scratch so that the byte-level cost accounting of the cost
 //! model is exact and so that the SOE emulator has no hidden dependency:
 //!
-//! * [`aes`] — AES-128 block cipher (FIPS-197),
+//! * [`aes`] — AES-128 block cipher (FIPS-197), table-driven, with both key
+//!   schedules expanded once per [`Aes128`],
 //! * [`modes`] — CBC and CTR modes over AES, with per-chunk IVs so that the
 //!   skip index can jump over encrypted regions without breaking decryption,
 //! * [`sha256`] — SHA-256 (FIPS 180-4),
@@ -21,6 +22,13 @@
 //! **Security note.** These implementations favour clarity and portability and
 //! are not hardened against side channels; they are a faithful functional
 //! substitute for the card's crypto hardware within a research prototype.
+//! In particular, AES runs on T-table lookups indexed by key- and
+//! state-dependent bytes, so its timing varies with the cache and is not
+//! constant-time. That is acceptable for the paper's threat model: the
+//! adversary is the DSP, which only stores and serves ciphertext and never
+//! runs code on the machine that decrypts, so it has no cache to probe. A
+//! real card does not run this code at all: it decrypts with its crypto
+//! coprocessor, and this crate stands in for that coprocessor on the host.
 
 #![forbid(unsafe_code)]
 

@@ -61,21 +61,29 @@ pub fn cbc_decrypt(
 /// The 16-byte `nonce` is the initial counter block; the counter occupies the
 /// last 8 bytes (big-endian) and is incremented per block.
 pub fn ctr_apply(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8]) -> Vec<u8> {
-    // alloc: amortized — one chunk-sized buffer per decrypted chunk; the SOE working set stays one chunk.
-    let mut out = Vec::with_capacity(data.len());
+    let mut out = Vec::new();
+    ctr_apply_into(cipher, nonce, data, &mut out);
+    out
+}
+
+/// [`ctr_apply`] into a caller-owned buffer: `out` is cleared and refilled,
+/// so a buffer reused across calls stops allocating once it has grown to the
+/// largest input.
+pub fn ctr_apply_into(cipher: &Aes128, nonce: &[u8; BLOCK_SIZE], data: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.extend_from_slice(data);
     let mut counter_block = *nonce;
     // lint: infallible — an 8-byte slice of a `[u8; BLOCK_SIZE]` block.
     let mut counter = u64::from_be_bytes(counter_block[8..16].try_into().expect("8 bytes"));
-    for chunk in data.chunks(BLOCK_SIZE) {
+    for chunk in out.chunks_mut(BLOCK_SIZE) {
         counter_block[8..16].copy_from_slice(&counter.to_be_bytes());
         let mut keystream = counter_block;
         cipher.encrypt_block(&mut keystream);
-        for (i, &b) in chunk.iter().enumerate() {
-            out.push(b ^ keystream[i]);
+        for (b, k) in chunk.iter_mut().zip(keystream) {
+            *b ^= k;
         }
         counter = counter.wrapping_add(1);
     }
-    out
 }
 
 /// Applies PKCS#7 padding to a full multiple of the block size. An empty input
@@ -190,6 +198,79 @@ mod tests {
         let ct0 = ctr_apply(&c, &chunk_iv(&[0; 8], 0), &plain);
         let ct1 = ctr_apply(&c, &chunk_iv(&[0; 8], 1), &plain);
         assert_ne!(ct0, ct1);
+    }
+
+    /// NIST SP 800-38A Appendix F key and plaintext (shared by F.2 and F.5).
+    const SP800_38A_KEY: &str = "2b7e151628aed2a6abf7158809cf4f3c";
+    const SP800_38A_PLAIN: &str = "6bc1bee22e409f96e93d7e117393172a\
+                                   ae2d8a571e03ac9c9eb76fac45af8e51\
+                                   30c81c46a35ce411e5fbc1191a0a52ef\
+                                   f69f2445df4f9b17ad2b417be66c3710";
+    const SP800_38A_CBC: &str = "7649abac8119b246cee98e9b12e9197d\
+                                 5086cb9b507219ee95db113a917678b2\
+                                 73bed6b8e3c1743b7116e69e22229516\
+                                 3ff1caa1681fac09120eca307586e1a7";
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn block(s: &str) -> [u8; BLOCK_SIZE] {
+        unhex(s).try_into().unwrap()
+    }
+
+    fn sp800_38a_cipher() -> Aes128 {
+        Aes128::new(&block(SP800_38A_KEY))
+    }
+
+    #[test]
+    fn ctr_matches_sp800_38a_f51() {
+        // F.5.1 CTR-AES128.Encrypt; F.5.2 is the same operation reversed.
+        let c = sp800_38a_cipher();
+        let counter = block("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+        let plain = unhex(SP800_38A_PLAIN);
+        let expected = unhex(
+            "874d6191b620e3261bef6864990db6ce\
+             9806f66b7970fdff8617187bb9fffdff\
+             5ae4df3edbd5d35e5b4f09020db03eab\
+             1e031dda2fbe03d1792170a0f3009cee",
+        );
+        assert_eq!(ctr_apply(&c, &counter, &plain), expected);
+        assert_eq!(ctr_apply(&c, &counter, &expected), plain);
+        // A reused buffer gives the same bytes, including on a shorter input.
+        let mut out = Vec::new();
+        ctr_apply_into(&c, &counter, &plain, &mut out);
+        assert_eq!(out, expected);
+        ctr_apply_into(&c, &counter, &plain[..20], &mut out);
+        assert_eq!(out, expected[..20]);
+    }
+
+    #[test]
+    fn cbc_encrypt_matches_sp800_38a_f21() {
+        let c = sp800_38a_cipher();
+        let iv = block("000102030405060708090a0b0c0d0e0f");
+        let ct = cbc_encrypt(&c, &iv, &unhex(SP800_38A_PLAIN));
+        // Four vector blocks, then one block of PKCS#7 padding.
+        assert_eq!(ct.len(), 5 * BLOCK_SIZE);
+        assert_eq!(ct[..4 * BLOCK_SIZE], unhex(SP800_38A_CBC));
+    }
+
+    #[test]
+    fn cbc_decrypt_matches_sp800_38a_f22() {
+        let c = sp800_38a_cipher();
+        let iv = block("000102030405060708090a0b0c0d0e0f");
+        let mut ct = unhex(SP800_38A_CBC);
+        // The padding block chains off the last vector block: E(C4 ^ 0x10..).
+        let mut pad: [u8; BLOCK_SIZE] = ct[3 * BLOCK_SIZE..].try_into().unwrap();
+        for b in pad.iter_mut() {
+            *b ^= BLOCK_SIZE as u8;
+        }
+        c.encrypt_block(&mut pad);
+        ct.extend_from_slice(&pad);
+        assert_eq!(cbc_decrypt(&c, &iv, &ct).unwrap(), unhex(SP800_38A_PLAIN));
     }
 
     #[test]

@@ -204,6 +204,42 @@ fn leak_13_malformed_annotation_without_reason_is_caught() {
     assert_caught(&v, Rule::TaintAnnotation, "crypto/src/modes.rs", 1);
 }
 
+#[test]
+fn leak_14_expanded_aes_schedule_in_dsp_type_is_caught() {
+    // The SOE session keeps an expanded `Aes128` schedule for its whole
+    // life. Checked against the real `trust.toml`, which tiers `Aes128` as
+    // secret: a DSP type holding one directly, or holding such a session,
+    // must be flagged.
+    let real = TrustConfig::parse(include_str!("../trust.toml")).expect("trust.toml parses");
+    let v = analyze(
+        &real,
+        &[
+            file(
+                "crates/core/src/engine.rs",
+                "pub struct SecureEvaluationSession {\n    cipher: Aes128,\n}\n",
+            ),
+            file(
+                "crates/dsp/src/store.rs",
+                "pub struct ChunkCache {\n    cipher: Aes128,\n}\n\n\
+                 pub struct SessionTable {\n    live: Vec<SecureEvaluationSession>,\n}\n",
+            ),
+        ],
+    );
+    assert_caught(&v, Rule::TaintDsp, "crates/dsp/src/store.rs", 1);
+    assert_caught(&v, Rule::TaintDsp, "crates/dsp/src/store.rs", 5);
+    assert!(
+        v.iter().any(|x| x.line == 5
+            && x.message.contains("Aes128")
+            && x.message.contains("crates/core/src/engine.rs")),
+        "provenance should name the embedded schedule and its field site: {v:#?}"
+    );
+    assert!(
+        !v.iter()
+            .any(|x| x.file.to_string_lossy() == "crates/core/src/engine.rs"),
+        "the SOE side may hold the schedule: {v:#?}"
+    );
+}
+
 // ------------------------------------------------------- false positives --
 
 #[test]

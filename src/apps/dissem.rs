@@ -118,13 +118,12 @@ impl DisseminationApp {
             bytes_skipped: 0,
         };
         let model = CostModel::egate();
-        let mut previous_total = Duration::ZERO;
         for item in self.channel.published() {
             let view = terminal.evaluate_local(&item.document)?;
-            let total = terminal.latency(&model).total();
-            let item_latency = total.saturating_sub(previous_total);
-            previous_total = total;
-            report.total_latency = total;
+            // The card resets its ledger at every `OPEN_SESSION`, so the
+            // reading covers this item alone.
+            let item_latency = terminal.latency(&model).total();
+            report.total_latency += item_latency;
             report.max_item_latency = report.max_item_latency.max(item_latency);
             if view.is_empty() {
                 report.items_blocked += 1;
@@ -213,6 +212,36 @@ mod tests {
         assert!(report.items_blocked > 0);
         assert!(report.total_latency > Duration::ZERO);
         assert!(report.max_item_latency <= report.total_latency);
+    }
+
+    #[test]
+    fn card_latency_sums_per_item_readings() {
+        let app = app(8);
+        let report = app.consume_with_card("kid", AccessPolicy::open()).unwrap();
+        // Replay the stream on a fresh terminal of the same subscriber and
+        // read the card's cost model after every item.
+        let client = Client::builder("kid")
+            .card_profile(app.card_profile)
+            .open_policy(true)
+            .provision(app.publisher())
+            .unwrap();
+        let mut terminal = client.terminal_with_rules().unwrap();
+        let model = CostModel::egate();
+        let readings: Vec<Duration> = app
+            .channel()
+            .published()
+            .iter()
+            .map(|item| {
+                terminal.evaluate_local(&item.document).unwrap();
+                terminal.latency(&model).total()
+            })
+            .collect();
+        assert!(readings.iter().all(|&r| r > Duration::ZERO));
+        assert_eq!(report.total_latency, readings.iter().sum::<Duration>());
+        assert_eq!(
+            report.max_item_latency,
+            readings.iter().copied().max().unwrap()
+        );
     }
 
     #[test]
