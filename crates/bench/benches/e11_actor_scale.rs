@@ -1,6 +1,7 @@
-//! E11 — actor engine vs thread scheduler at 1k–100k sessions. The wall time
-//! measured here is the *functional* cost of really running both engines
-//! (mailboxes, work stealing, the FIFO run queue); the scaling claims of E11
+//! E11 — event-driven vs poll-driven sessions at 1k–100k sessions, both on
+//! the actor executor (poll-driven sessions go through `SessionScheduler`).
+//! The wall time measured here is the *functional* cost of really running
+//! both sides (mailboxes, work stealing, ready requeues); the scaling claims of E11
 //! live on the deterministic simulated clock and are reported by the harness
 //! (`e11.sessions_*` keys) and pinned by `tests/actor_equivalence.rs`.
 

@@ -607,13 +607,13 @@ fn e10_multi_client(report: &mut Report) {
 fn e11_actor_scale(report: &mut Report) {
     banner(
         "E11",
-        "actor engine vs thread scheduler: 1k-100k sessions per DSP",
+        "event-driven vs poll-driven sessions: 1k-100k sessions per DSP",
     );
     println!(
         "{:>9} {:>8} {:>16} {:>12} {:>9} {:>9}",
         "sessions", "engine", "events/s", "dispatches", "p99 (ms)", "wall (s)"
     );
-    // Both engines really run (completion is asserted); throughput and p99
+    // Both sides really run (completion is asserted); throughput and p99
     // are folded from the dispatch/batch counters on the simulated clock, so
     // the keys are machine independent and CI-gateable.
     for sessions in [1_000usize, 10_000, 100_000] {
@@ -645,9 +645,9 @@ fn e11_actor_scale(report: &mut Report) {
 }
 
 /// Runs the telemetry pass behind `--obs`: an E10 hot-document slice (shard
-/// serving, thread scheduler and card-session telemetry come off the
-/// service's own bundle) plus a standalone E11 slice (actor-engine telemetry
-/// on a dedicated bundle), merged into one snapshot. Returns the JSON report:
+/// serving, scheduler and card-session telemetry come off the
+/// service's own bundle) plus a standalone E11 slice (executor telemetry on
+/// a dedicated bundle), merged into one snapshot. Returns the JSON report:
 /// the metric snapshot and the E10 service's flight-recorder dump.
 fn obs_report() -> String {
     let (_, e10_snapshot, flight) =

@@ -341,15 +341,23 @@ pub fn multi_client(config: MultiClientConfig) -> MultiClientOutcome {
 /// Configuration of one E11 actor-scale run: `sessions` simulated card
 /// sessions, each waiting for `batches` APDU batches that arrive rarely
 /// relative to the scheduler's polling.
+///
+/// Both sides of the run use the one actor executor; they differ in how a
+/// session learns that a batch is there. The `thread` side (the name is
+/// kept in the E11 keys) is poll-driven: [`sdds_dsp::Schedulable`]
+/// sessions stepped round-robin by [`sdds_dsp::SessionScheduler`]. The
+/// `actor` side is event-driven: sessions parked on their mailboxes until a
+/// batch is sent.
 #[derive(Debug, Clone, Copy)]
 pub struct ActorScaleConfig {
     /// Concurrent simulated card sessions.
     pub sessions: usize,
-    /// Worker threads (same count for both engines).
+    /// Worker threads (same count for both sides).
     pub workers: usize,
-    /// Thread-engine polls per actually-ready batch: the round-robin FIFO
-    /// visits a waiting session `poll_interval` times before its next batch
-    /// is there (the O(sessions)-per-lap waste the actor engine removes).
+    /// Polls per actually-ready batch on the poll-driven side: the
+    /// round-robin visits a waiting session `poll_interval` times before its
+    /// next batch is there (the O(sessions)-per-lap waste that event-driven
+    /// parking removes).
     pub poll_interval: usize,
     /// APDU batches each session processes before completing.
     pub batches: usize,
@@ -357,7 +365,7 @@ pub struct ActorScaleConfig {
     /// readiness check).
     pub step_cost: std::time::Duration,
     /// Simulated cost of processing one APDU batch (the useful work; charged
-    /// identically on both engines).
+    /// identically on both sides).
     pub batch_cost: std::time::Duration,
 }
 
@@ -377,9 +385,10 @@ impl ActorScaleConfig {
 }
 
 /// A simulated card session mid-pull: its card channel yields one APDU batch
-/// every `poll_interval` scheduler visits (thread engine), or exactly when an
-/// event is delivered (actor engine). The same type implements both stepping
-/// contracts so E11 compares engines, not session models.
+/// every `poll_interval` scheduler visits (poll-driven), or exactly when an
+/// event is delivered (event-driven). The same type implements both stepping
+/// contracts so E11 compares the two ways of waking a session, not session
+/// models.
 #[derive(Debug)]
 pub struct SimCardSession {
     poll_interval: usize,
@@ -408,8 +417,8 @@ impl SimCardSession {
 }
 
 impl sdds_dsp::Schedulable for SimCardSession {
-    /// Thread-engine contract: every FIFO visit costs a step, but only every
-    /// `poll_interval`-th visit finds a batch ready.
+    /// Poll-driven contract: every scheduler visit costs a step, but only
+    /// every `poll_interval`-th visit finds a batch ready.
     fn step(&mut self, _quantum: usize) -> Result<sdds_dsp::StepOutcome, String> {
         self.visits += 1;
         if self.visits.is_multiple_of(self.poll_interval) && self.process_batch() {
@@ -423,7 +432,7 @@ impl sdds_dsp::Schedulable for SimCardSession {
 impl sdds_dsp::ActorSession for SimCardSession {
     type Event = ();
 
-    /// Actor-engine contract: a dispatch happens only when a batch arrived,
+    /// Event-driven contract: a dispatch happens only when a batch arrived,
     /// so every visit does useful work.
     fn on_event(&mut self, (): ()) -> Result<sdds_dsp::ActorStatus, String> {
         self.visits += 1;
@@ -444,7 +453,7 @@ impl sdds_dsp::ActorSession for SimCardSession {
 pub struct EngineRun {
     /// Scheduler visits / engine dispatches across sessions.
     pub dispatches: usize,
-    /// APDU batches processed across sessions (identical for both engines —
+    /// APDU batches processed across sessions (identical for both sides —
     /// the useful work).
     pub batches: usize,
     /// Simulated makespan: all dispatch and batch costs, spread over the
@@ -458,7 +467,7 @@ pub struct EngineRun {
 
 impl EngineRun {
     /// Aggregate simulated throughput: processed batches per second. The
-    /// numerator is the same for both engines, so the thread/actor ratio is
+    /// numerator is the same for both sides, so the thread/actor ratio is
     /// exactly the dispatch-overhead ratio.
     pub fn events_per_s(&self) -> f64 {
         let makespan = self.makespan.as_secs_f64();
@@ -470,19 +479,22 @@ impl EngineRun {
     }
 }
 
-/// Deterministic outcome of one E11 run: the same sessions on both engines.
+/// Deterministic outcome of one E11 run: the same sessions, poll-driven and
+/// event-driven.
 #[derive(Debug, Clone, Copy)]
 pub struct ActorScaleOutcome {
     /// The configuration the run used.
     pub config: ActorScaleConfig,
-    /// The thread-engine (round-robin FIFO) side.
+    /// The poll-driven side: [`sdds_dsp::Schedulable`] sessions through
+    /// [`sdds_dsp::SessionScheduler`] (`thread` in the E11 keys).
     pub thread: EngineRun,
-    /// The actor-engine (readiness-driven) side.
+    /// The event-driven (readiness-driven) side.
     pub actor: EngineRun,
 }
 
 impl ActorScaleOutcome {
-    /// Aggregate-throughput advantage of the actor engine.
+    /// Aggregate-throughput advantage of event-driven over poll-driven
+    /// sessions.
     pub fn speedup(&self) -> f64 {
         let thread = self.thread.events_per_s();
         if thread > 0.0 {
@@ -493,10 +505,10 @@ impl ActorScaleOutcome {
     }
 }
 
-/// Folds one engine's dispatch/batch counters into simulated-clock metrics.
+/// Folds one side's dispatch/batch counters into simulated-clock metrics.
 ///
 /// Makespan is `(dispatches × step_cost + batches × batch_cost) / workers`:
-/// both engines pay the same per-batch work, the thread engine additionally
+/// both sides pay the same per-batch work, the poll-driven side additionally
 /// pays `poll_interval` visits per batch. The p99 is the session-completion
 /// latency under the canonical single-queue round-robin order — session `i`
 /// of `K` retires at work position `position(i)` out of `total`, so its
@@ -525,18 +537,19 @@ fn engine_run(
 }
 
 /// Runs the E11 scaling workload: the same `sessions` simulated card
-/// sessions once on the thread scheduler ([`sdds_dsp::SessionScheduler`],
-/// FIFO round-robin) and once on the actor engine
-/// ([`sdds_dsp::ActorEngine`], per-session mailboxes, events delivered
-/// round-robin by a driver). Both runs really execute — completion and
-/// dispatch counts are asserted — and the reported throughput/latency is
-/// computed from the counters on the simulated clock, so the gated `e11.*`
-/// keys are machine independent.
+/// sessions once poll-driven through the scheduler
+/// ([`sdds_dsp::SessionScheduler`], round-robin steps; the `thread` keys)
+/// and once event-driven on the actor engine ([`sdds_dsp::ActorEngine`],
+/// per-session mailboxes, events delivered round-robin by a driver; the
+/// `actor` keys). Both runs use the same executor and really execute —
+/// completion and dispatch counts are asserted — and the reported
+/// throughput/latency is computed from the counters on the simulated clock,
+/// so the gated `e11.*` keys are machine independent.
 pub fn actor_scale(config: ActorScaleConfig) -> ActorScaleOutcome {
     actor_scale_observed(config, None)
 }
 
-/// Like [`actor_scale`], optionally wiring both engines' telemetry into a
+/// Like [`actor_scale`], optionally wiring both runs' telemetry into a
 /// [`sdds_dsp::DspObs`] bundle (E11 runs standalone, so the harness hands it
 /// a dedicated bundle rather than a service's). The outcome is byte-identical
 /// with or without `obs` — telemetry is parallel tallies only.
@@ -548,7 +561,8 @@ pub fn actor_scale_observed(
     let polls = config.poll_interval.max(1);
     let batches = config.batches.max(1);
 
-    // Thread engine: every session rides the FIFO until its batches arrive.
+    // Poll-driven: every session is stepped round-robin until its batches
+    // arrive.
     let start = std::time::Instant::now();
     let mut scheduler = sdds_dsp::SessionScheduler::new(config.workers, 1);
     if let Some(obs) = obs {
@@ -562,7 +576,7 @@ pub fn actor_scale_observed(
     let thread_wall = start.elapsed();
     assert!(
         report.failures().is_empty(),
-        "E11 thread sessions failed: {:?}",
+        "E11 poll-driven sessions failed: {:?}",
         report.failures()
     );
     let thread_dispatches = report.steps_total;
@@ -579,7 +593,7 @@ pub fn actor_scale_observed(
         thread_dispatches,
     );
 
-    // Actor engine: a driver delivers each session's batches round-robin;
+    // Event-driven: a driver delivers each session's batches round-robin;
     // parked sessions cost nothing between arrivals.
     let start = std::time::Instant::now();
     let mut engine = sdds_dsp::ActorEngine::new(config.workers);

@@ -172,6 +172,11 @@ fn stats_reset_race_never_duplicates() {
 
 // ---------------------------------------------------------------------------
 // Invariant 3: the scheduler neither loses nor double-steps a session.
+//
+// `SessionScheduler::run` drives its sessions through
+// `ActorEngine::run_ready`, so these models are the ones that reach the
+// actor engine's ready-seeded path: every session starts scheduled, and a
+// `Ready` session is requeued without an event.
 // ---------------------------------------------------------------------------
 
 /// A session that counts its own steps: the model cross-checks the
@@ -194,7 +199,7 @@ impl Schedulable for CountedSession {
     fn step(&mut self, _quantum: usize) -> Result<StepOutcome, String> {
         if self.left == 0 {
             // A step after completion is exactly the double-step bug the
-            // FIFO requeue must rule out.
+            // ready requeue must rule out.
             return Err("stepped after completion".into());
         }
         self.left -= 1;
@@ -228,23 +233,23 @@ fn check_schedule(workers: usize, sessions: Vec<CountedSession>) {
 }
 
 /// One worker against the submitting thread: every interleaving of the
-/// dequeue / requeue / retire / exit protocol is explored exhaustively, and
-/// no schedule may lose or double-step a session.
+/// claim / step / ready-requeue / retire / exit protocol is explored
+/// exhaustively, and no schedule may lose or double-step a session.
 #[test]
 fn scheduler_never_loses_or_double_steps() {
     let report = model()
-        .check("scheduler_fifo_requeue", || {
+        .check("scheduler_ready_requeue", || {
             check_schedule(1, vec![CountedSession::new(2), CountedSession::new(1)]);
         })
         .expect("no interleaving may lose or double-step a session");
-    assert_explored(&report, "scheduler_fifo_requeue");
+    assert_explored(&report, "scheduler_ready_requeue");
 }
 
-/// Two workers contending for the queue. The worker loop crosses a
-/// scheduling point per queue-lock, condvar and `in_flight` operation, and
-/// every wake/recheck/re-wait cycle branches again, so this space does not
-/// exhaust within any practical budget (the price of a loom-lite without
-/// DPOR). It runs as a bounded soak instead: the whole branch budget is
+/// Two workers contending for the run queues. The worker loop crosses a
+/// scheduling point per queue-lock, mailbox-lock, condvar and counter
+/// operation, and every steal and wake/recheck/re-wait cycle branches
+/// again, so this space does not exhaust within any practical budget (the
+/// price of a loom-lite without DPOR). It runs as a bounded soak instead: the whole branch budget is
 /// spent, every explored schedule must uphold the invariant, and the CI
 /// soak widens it via SDDS_CHECK_BRANCHES.
 #[test]

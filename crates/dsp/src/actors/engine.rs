@@ -376,8 +376,8 @@ impl ActorEngine {
 
     /// Runs self-driving actors: every actor starts scheduled (its first
     /// dispatch is an event-less [`ActorSession::on_step`]) and keeps being
-    /// redispatched while it reports [`ActorStatus::Ready`]. This is the
-    /// [`crate::service::SessionScheduler`] compatibility mode.
+    /// redispatched while it reports [`ActorStatus::Ready`]. This is how
+    /// [`crate::service::SessionScheduler`] runs its sessions.
     pub fn run_ready<A: ActorSession>(&self, actors: Vec<A>) -> ActorReport<A> {
         self.run_inner(actors, true, |_| {})
     }

@@ -1,16 +1,20 @@
 //! Readiness-driven actor engine: tens of thousands of card sessions on a
 //! handful of worker threads.
 //!
-//! The thread scheduler ([`crate::service::SessionScheduler`]) round-robins
-//! every live session through a blocking FIFO: a session that is *waiting* —
-//! card channel drained, no chunk push pending — is still popped, stepped,
-//! and requeued, so the scheduler burns one visit per session per lap
-//! whether or not the session can make progress. At hundreds of sessions the
-//! waste is noise; at tens of thousands it is the bottleneck (O(sessions)
-//! work per lap). The actor engine inverts the control flow: a session is
-//! **parked** when its mailbox is drained and re-enqueued only when a new
-//! event — an APDU batch, a chunk push — arrives, so the engine does
-//! O(changed work) per step, never O(sessions).
+//! A round-robin that visits every live session each lap burns one visit per
+//! *waiting* session — card channel drained, no chunk push pending — whether
+//! or not it can make progress: noise at hundreds of sessions, the
+//! bottleneck at tens of thousands (O(sessions) work per lap). The actor
+//! engine inverts the control flow: a session is **parked** when its mailbox
+//! is drained and re-enqueued only when a new event — an APDU batch, a chunk
+//! push — arrives, so the engine does O(changed work) per step, never
+//! O(sessions).
+//!
+//! It is the workspace's one session executor. Event-driven sessions use
+//! [`ActorEngine::run`]; pull sessions that only need quantum-bounded steps
+//! go through [`crate::service::SessionScheduler`], which seeds them ready
+//! with [`ActorEngine::run_ready`] (an [`ActorStatus::Ready`] session is
+//! requeued without an event, so it self-drives to completion).
 //!
 //! # Architecture
 //!
@@ -94,7 +98,7 @@ pub use mailbox::MailboxState;
 pub enum ActorStatus {
     /// The actor has more self-driven work: re-enqueue it even if its
     /// mailbox is empty (used by the [`crate::service::SessionScheduler`]
-    /// compatibility adapter, whose sessions pull rather than react).
+    /// adapter, whose sessions pull rather than react).
     Ready,
     /// The actor is waiting for input: park it once its mailbox drains.
     Parked,

@@ -7,15 +7,17 @@
 //! verifies everything). This crate provides:
 //!
 //! * [`store`] — the encrypted document / protected rule store with versioning,
-//! * [`server`] — the pull-mode request API used by terminal proxies, with
-//!   byte accounting of everything served,
+//! * [`server`] — the byte accounting of everything the DSP serves
+//!   ([`ServerStats`], [`AtomicServerStats`]),
 //! * [`dissemination`] — the broadcast unit of experiment E6: already
 //!   encrypted [`StreamItem`]s (produced by the trusted, proxy-side
 //!   `sdds_proxy::DisseminationChannel`, which keeps the key and the
 //!   cleartext stream out of this crate) are broadcast to subscribers over
 //!   unsecured channels, and each subscriber's SOE filters what its user may
 //!   see,
-//! * [`service`] — the concurrent multi-client layer of experiment E10: the
+//! * [`service`] — the one serving path ([`service::DspService`], a
+//!   single-tenant DSP being `DspService::new(1)`) and the concurrent
+//!   multi-client layer of experiment E10: the
 //!   FNV-sharded store ([`service::ShardedStore`]), the fair round-robin
 //!   [`service::SessionScheduler`] multiplexing many card sessions, the
 //!   [`service::FanOutDisseminator`] (one ciphertext per item shared across
@@ -25,8 +27,8 @@
 //! * [`actors`] — the readiness-driven actor engine of experiment E11: one
 //!   bounded mailbox per session, a work-stealing executor over N workers,
 //!   and park/unpark stepping so the serving loop does O(changed work) per
-//!   step instead of O(sessions). Selected per scheduler via
-//!   [`service::SchedulerEngine`].
+//!   step instead of O(sessions). It is the only executor: the
+//!   [`service::SessionScheduler`] runs its sessions on it too.
 
 #![forbid(unsafe_code)]
 
@@ -39,10 +41,10 @@ pub mod store;
 
 pub use actors::{ActorEngine, ActorReport, ActorSession, ActorStatus, FinishedActor};
 pub use dissemination::StreamItem;
-pub use obs::{ActorObs, DspObs, ErrorObs, SchedulerObs, ServeObs, SessionObs, ShardObs};
-pub use server::{AtomicServerStats, DspServer, ServerStats};
+pub use obs::{ActorObs, DspObs, ErrorObs, ServeObs, SessionObs, ShardObs};
+pub use server::{AtomicServerStats, ServerStats};
 pub use service::{
-    DspService, FanOutDisseminator, HotPolicy, Schedulable, ScheduleReport, SchedulerEngine,
-    ServiceModel, SessionScheduler, ShardedStore, StepOutcome,
+    DspService, FanOutDisseminator, HotPolicy, Schedulable, ScheduleReport, ServiceModel,
+    SessionScheduler, ShardedStore, StepOutcome,
 };
 pub use store::{DocumentRecord, DspStore};

@@ -2,7 +2,7 @@
 //! feeding per-layer handle structs.
 //!
 //! [`DspObs`] owns the registry; the layer structs ([`ServeObs`],
-//! [`SchedulerObs`], [`ActorObs`], [`SessionObs`]) are cheap bundles of
+//! [`ActorObs`], [`SessionObs`]) are cheap bundles of
 //! `Arc`-backed handles the hot paths clone out of it. Components that run
 //! without a service (a bare [`crate::ShardedStore`], a scheduler in a unit
 //! test) fall back to *detached* handles — same cells, no registry — so
@@ -18,7 +18,7 @@
 //! rule keeps ARCHITECTURE.md's metric table synchronized with that module.
 
 use sdds_core::CoreError;
-use sdds_obs::{families, Counter, FlightRecorder, Gauge, Histogram, ObsSnapshot, Registry};
+use sdds_obs::{families, Counter, FlightRecorder, Histogram, ObsSnapshot, Registry};
 use sdds_sync::sync::Arc;
 
 use crate::server::AtomicServerStats;
@@ -152,44 +152,6 @@ impl ServeObs {
     }
 }
 
-/// Thread-engine scheduler telemetry. Clones share cells.
-#[derive(Debug, Clone)]
-pub struct SchedulerObs {
-    /// Current and high-water run-queue depth.
-    pub queue_depth: Gauge,
-    /// Session quanta executed.
-    pub steps: Counter,
-    /// Wall-clock latency of one session step, nanoseconds.
-    pub step_latency: Histogram,
-    /// Flight recorder the step spans land in (lane = worker index).
-    pub recorder: FlightRecorder,
-    /// False for detached bundles: the step path skips telemetry entirely.
-    pub live: bool,
-}
-
-impl SchedulerObs {
-    fn registered(registry: &Registry, recorder: FlightRecorder) -> Self {
-        SchedulerObs {
-            queue_depth: registry.gauge(families::SCHED_QUEUE_DEPTH),
-            steps: registry.counter(families::SCHED_STEPS),
-            step_latency: registry.histogram(families::SCHED_STEP_LATENCY),
-            recorder,
-            live: true,
-        }
-    }
-
-    /// Detached handles (no registry) for stand-alone schedulers.
-    pub fn detached() -> Self {
-        SchedulerObs {
-            queue_depth: Gauge::new(),
-            steps: Counter::new(),
-            step_latency: Histogram::new(),
-            recorder: FlightRecorder::new(RECORDER_LANES, RECORDER_CAPACITY),
-            live: false,
-        }
-    }
-}
-
 /// Actor-engine telemetry: the park/unpark protocol made visible. Clones
 /// share cells.
 #[derive(Debug, Clone)]
@@ -300,7 +262,6 @@ pub struct DspObs {
     registry: Registry,
     recorder: FlightRecorder,
     serve: ServeObs,
-    scheduler: SchedulerObs,
     actors: ActorObs,
     session: SessionObs,
     errors: ErrorObs,
@@ -313,14 +274,12 @@ impl DspObs {
         let recorder = FlightRecorder::new(RECORDER_LANES, RECORDER_CAPACITY);
         let errors = ErrorObs::registered(&registry);
         let serve = ServeObs::registered(&registry, recorder.clone(), errors.clone(), shards);
-        let scheduler = SchedulerObs::registered(&registry, recorder.clone());
         let actors = ActorObs::registered(&registry, recorder.clone(), &errors);
         let session = SessionObs::registered(&registry);
         DspObs {
             registry,
             recorder,
             serve,
-            scheduler,
             actors,
             session,
             errors,
@@ -342,12 +301,8 @@ impl DspObs {
         self.serve.clone()
     }
 
-    /// Thread-scheduler handles.
-    pub fn scheduler(&self) -> SchedulerObs {
-        self.scheduler.clone()
-    }
-
-    /// Actor-engine handles.
+    /// Actor-engine handles (also what a wired
+    /// [`crate::SessionScheduler`] records into).
     pub fn actors(&self) -> ActorObs {
         self.actors.clone()
     }

@@ -1,28 +1,19 @@
-//! Pull-mode request API of the DSP.
+//! Serving accounting of the DSP.
 //!
 //! The terminal proxy fetches the document header, then individual encrypted
 //! chunks (with their Merkle proofs) *on demand of the card*, and the protected
-//! rule blob of its subject. The server counts every byte it serves — the
+//! rule blob of its subject. The DSP counts every byte it serves — the
 //! transfer-volume results of experiments E2 and E5 are read off these
 //! counters on one side and off the card ledger on the other.
 //!
-//! Since the facade redesign there is exactly **one** serving code path in the
-//! workspace: the sharded [`crate::service::DspService`]. The single-tenant
-//! [`DspServer`] kept here is a thin convenience wrapper over a one-shard
-//! service — it cannot drift from the sharded path because it *is* the sharded
-//! path.
+//! There is exactly **one** serving code path in the workspace: the sharded
+//! [`crate::service::DspService`] (a single-tenant DSP is `DspService::new(1)`).
+//! This module holds its counters: the plain [`ServerStats`] value and its
+//! live, per-shard form [`AtomicServerStats`].
 
 use sdds_obs::{families, Counter, Registry};
-use sdds_sync::sync::Arc;
 
-use sdds_core::secdoc::{DocumentHeader, SecureDocument};
-use sdds_core::session::ProtectedRules;
-use sdds_core::CoreError;
-use sdds_crypto::merkle::MerkleProof;
-
-use crate::service::DspService;
-
-/// Serving statistics of a DSP (one front-end, or one shard of the
+/// Serving statistics of a DSP (a whole service, or one shard of the
 /// [`crate::service::ShardedStore`]).
 ///
 /// Every served payload is counted through exactly one of the `record_*`
@@ -155,110 +146,20 @@ impl AtomicServerStats {
     }
 }
 
-/// The single-tenant DSP front-end: a one-shard [`DspService`].
-#[derive(Debug)]
-pub struct DspServer {
-    service: DspService,
-}
-
-impl Default for DspServer {
-    fn default() -> Self {
-        DspServer::new()
-    }
-}
-
-impl DspServer {
-    /// Creates a server over an empty one-shard store.
-    pub fn new() -> Self {
-        DspServer {
-            service: DspService::new(1),
-        }
-    }
-
-    /// The underlying (one-shard) service.
-    pub fn service(&self) -> &DspService {
-        &self.service
-    }
-
-    /// Uploads (or replaces) a document, keeping stored rule blobs.
-    pub fn put_document(&self, document: SecureDocument) {
-        self.service.put_document(document);
-    }
-
-    /// Uploads (or replaces) a document, choosing whether stored rule blobs
-    /// survive the replacement (see
-    /// [`crate::store::DspStore::put_document_with`]).
-    pub fn put_document_with(&self, document: SecureDocument, clear_rules_on_replace: bool) {
-        self.service
-            .put_document_with(document, clear_rules_on_replace);
-    }
-
-    /// Stores the protected rules of `subject` for `doc_id`.
-    pub fn put_rules(
-        &self,
-        doc_id: &str,
-        subject: &str,
-        rules: &ProtectedRules,
-    ) -> Result<(), CoreError> {
-        self.service.put_rules(doc_id, subject, rules)
-    }
-
-    /// Serving statistics.
-    pub fn stats(&self) -> ServerStats {
-        self.service.stats()
-    }
-
-    /// Resets the serving statistics (between experiment runs).
-    pub fn reset_stats(&self) {
-        self.service.reset_stats();
-    }
-
-    /// Upload revision of a stored document (`None` if unknown).
-    pub fn revision(&self, doc_id: &str) -> Option<u64> {
-        self.service.revision(doc_id)
-    }
-
-    /// True when `doc_id` is stored.
-    pub fn contains(&self, doc_id: &str) -> bool {
-        self.service.contains(doc_id)
-    }
-
-    /// Total ciphertext bytes stored.
-    pub fn stored_bytes(&self) -> usize {
-        self.service.store().stored_bytes()
-    }
-
-    /// Fetches a document header.
-    pub fn fetch_header(&self, doc_id: &str) -> Result<DocumentHeader, CoreError> {
-        self.service.fetch_header(doc_id)
-    }
-
-    /// Fetches one encrypted chunk and its Merkle proof.
-    pub fn fetch_chunk(
-        &self,
-        doc_id: &str,
-        index: u32,
-    ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
-        self.service.fetch_chunk(doc_id, index)
-    }
-
-    /// Fetches the protected rule blob of `subject`.
-    pub fn fetch_rules(&self, doc_id: &str, subject: &str) -> Result<Arc<[u8]>, CoreError> {
-        self.service.fetch_rules(doc_id, subject)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::DspService;
     use sdds_core::rule::RuleSet;
     use sdds_core::secdoc::SecureDocumentBuilder;
     use sdds_core::session::ProtectedRules;
     use sdds_crypto::SecretKey;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
-    fn server() -> DspServer {
-        let server = DspServer::new();
+    /// A single-tenant DSP: a one-shard service holding one folder and the
+    /// doctor's rule blob.
+    fn server() -> DspService {
+        let server = DspService::new(1);
         let doc = generator::hospital(
             &HospitalProfile {
                 patients: 3,
@@ -273,16 +174,6 @@ mod tests {
         let sealed = ProtectedRules::seal(&rules, &SecretKey::derive(b"s", "rules"));
         server.put_rules("folder", "doctor", &sealed).unwrap();
         server
-    }
-
-    #[test]
-    fn single_tenant_server_is_a_one_shard_service() {
-        let s = server();
-        assert_eq!(s.service().shard_count(), 1);
-        assert_eq!(s.revision("folder"), Some(0));
-        assert!(s.contains("folder"));
-        assert!(!s.contains("nope"));
-        assert!(s.stored_bytes() > 0);
     }
 
     #[test]
@@ -371,5 +262,8 @@ mod tests {
         assert!(s.fetch_chunk("folder", 9999).is_err());
         assert!(s.fetch_rules("folder", "stranger").is_err());
         assert!(s.contains("folder"));
+        assert!(!s.contains("nope"));
+        assert_eq!(s.revision("folder"), Some(0));
+        assert_eq!(s.revision("nope"), None);
     }
 }

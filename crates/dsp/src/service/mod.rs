@@ -1,8 +1,8 @@
 //! The concurrent multi-client DSP service layer (experiment E10).
 //!
-//! The single-tenant [`crate::DspServer`] serves exactly one proxy at a time:
-//! every request serializes on one store behind `&mut self`. This module turns
-//! the DSP into a service that sustains many simultaneous card sessions — the
+//! One store serving one proxy at a time would serialize every request of
+//! every card. This module makes the DSP a service that sustains many
+//! simultaneous card sessions — the
 //! "heavy traffic" regime of the paper's architecture (§2), where one
 //! untrusted server feeds a fleet of smart-card clients:
 //!
@@ -17,7 +17,7 @@
 //!                               └──────────────────▲─────────────────────┘
 //!                                fetch_header/chunk│/rules   (&self, Sync)
 //!                    ┌─────── SessionScheduler ────┴──────┐
-//!                    │ run queue: K CardSessions, FIFO    │
+//!                    │ K CardSessions on the ActorEngine  │
 //!                    │ W workers step `quantum` requests  │
 //!                    │ per turn, requeue ⇒ round-robin    │
 //!                    └──▲──────────▲──────────▲───────────┘
@@ -69,9 +69,7 @@ pub mod scheduler;
 pub mod shard;
 
 pub use fanout::{FanOutDisseminator, SubscriberId};
-pub use scheduler::{
-    FinishedSession, Schedulable, ScheduleReport, SchedulerEngine, SessionScheduler, StepOutcome,
-};
+pub use scheduler::{FinishedSession, Schedulable, ScheduleReport, SessionScheduler, StepOutcome};
 pub use shard::{HotPolicy, ShardedStore};
 
 use std::time::Duration;
@@ -130,9 +128,9 @@ impl ServiceModel {
 
 /// The concurrent DSP front-end: a sharded store plus its capacity model.
 ///
-/// Unlike [`crate::DspServer`], every serving method takes `&self` — the
-/// service is `Sync` and meant to sit behind an `Arc`, shared by every
-/// session the scheduler multiplexes.
+/// Every serving method takes `&self` — the service is `Sync` and meant to
+/// sit behind an `Arc`, shared by every session the scheduler multiplexes.
+/// A single-tenant DSP is simply `DspService::new(1)`.
 #[derive(Debug)]
 pub struct DspService {
     store: ShardedStore,

@@ -4,40 +4,26 @@
 //! exchanges and chunk requests per document. Serving K clients one after the
 //! other would give the first card exclusive use of the DSP and make the last
 //! card wait K full sessions. The [`SessionScheduler`] advances every session
-//! a *quantum* of chunk requests at a time instead, using one of two
-//! execution engines ([`SchedulerEngine`]):
+//! a *quantum* of chunk requests at a time instead.
 //!
-//! * **[`SchedulerEngine::Threads`]** (the default) — workers pop the session
-//!   at the head of a shared FIFO run queue, step it once, and — if it is not
-//!   done — requeue it at the tail. The FIFO requeue is what makes the
-//!   schedule a fair round-robin per card: between two steps of one session,
-//!   every other runnable session gets exactly one step. Every live session
-//!   rides the queue every lap, so a lap costs O(sessions) even when most
-//!   sessions are waiting — fine at hundreds of sessions, the bottleneck at
-//!   tens of thousands.
-//! * **[`SchedulerEngine::Actors`]** — the same sessions run on the
-//!   [`crate::actors::ActorEngine`]: per-session bounded mailboxes, a
-//!   work-stealing worker pool, and readiness-driven parking, preserving the
-//!   per-worker FIFO fairness while doing O(changed work) per step. The E11
-//!   experiment (`benches/e11_actor_scale.rs`) measures the crossover.
-//!
-//! Both engines produce the same [`ScheduleReport`] and, for deterministic
-//! workloads, byte-identical per-session results (`tests/actor_equivalence.
-//! rs` pins this property).
+//! The sessions run on the [`crate::actors::ActorEngine`]: each one is a
+//! self-driving actor that the work-stealing worker pool dispatches one
+//! quantum-bounded step at a time. A session that still has work is
+//! requeued at the **tail** of the stepping worker's FIFO, so between two
+//! steps of one session every other runnable session on that worker gets
+//! exactly one step — a fair round-robin per card, exact with one worker.
+//! Dispatch bookkeeping is O(changed work), never O(sessions), so the same
+//! engine carries E10's hundreds of cards and E11's 100k sessions.
 //!
 //! The scheduler is deliberately generic: anything implementing
 //! [`Schedulable`] can be multiplexed. The terminal proxy implements it for
 //! its `CardSession` (a card mid-pull against the shared [`crate::service::
 //! DspService`]), which is what the E10 multi-client experiment drives.
-
-use std::collections::VecDeque;
-
-use sdds_sync::sync::atomic::{AtomicUsize, Ordering};
-use sdds_sync::sync::{Condvar, Mutex, MutexExt};
-use sdds_sync::thread;
+//! Scheduled views equal unscheduled pulls for any worker count and quantum
+//! (`tests/actor_equivalence.rs`).
 
 use crate::actors::{ActorEngine, ActorSession, ActorStatus};
-use crate::obs::{ActorObs, DspObs, SchedulerObs};
+use crate::obs::{ActorObs, DspObs};
 
 /// What a step of a session reports back to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,36 +94,20 @@ impl<S> ScheduleReport<S> {
     }
 }
 
-/// Which execution engine a [`SessionScheduler`] runs its sessions on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerEngine {
-    /// Shared blocking FIFO, one step per pop, requeue at the tail
-    /// (round-robin; O(sessions) per lap). The default.
-    #[default]
-    Threads,
-    /// Per-session mailboxes on the work-stealing
-    /// [`crate::actors::ActorEngine`] (readiness-driven; O(changed work)).
-    Actors,
-}
-
 /// A work-conserving round-robin scheduler over a fixed worker pool.
 #[derive(Debug, Clone)]
 pub struct SessionScheduler {
     workers: usize,
     quantum: usize,
-    engine: SchedulerEngine,
-    /// Thread-engine telemetry (queue depth, steps, step latency); detached
-    /// until [`SessionScheduler::with_obs`] wires it.
-    obs: SchedulerObs,
-    /// Actor-engine telemetry, forwarded to the [`ActorEngine`] when the
-    /// actor engine is selected.
-    actor_obs: ActorObs,
+    /// Actor-engine telemetry (dispatches, steals, parks, dispatch latency);
+    /// detached until [`SessionScheduler::with_obs`] wires it.
+    obs: ActorObs,
 }
 
 /// Adapter running a [`Schedulable`] on the actor engine: each dispatch
 /// grants one quantum-bounded step, and the session stays `Ready` (self-
-/// driving) until it completes — the actor-engine equivalent of the FIFO
-/// requeue.
+/// driving) until it completes, so the engine requeues it at the tail of
+/// the stepping worker's run queue.
 struct StepActor<S> {
     session: S,
     quantum: usize,
@@ -160,13 +130,6 @@ impl<S: Schedulable> ActorSession for StepActor<S> {
     }
 }
 
-/// A session riding the run queue.
-struct Job<S> {
-    index: usize,
-    session: S,
-    steps: usize,
-}
-
 impl SessionScheduler {
     /// Creates a scheduler with `workers` worker threads, each advancing a
     /// session by `quantum` units per step. Both are clamped to at least 1.
@@ -174,38 +137,16 @@ impl SessionScheduler {
         SessionScheduler {
             workers: workers.max(1),
             quantum: quantum.max(1),
-            engine: SchedulerEngine::default(),
-            obs: SchedulerObs::detached(),
-            actor_obs: ActorObs::detached(),
+            obs: ActorObs::detached(),
         }
     }
 
-    /// Wires the scheduler's telemetry (run-queue depth, step counters and
-    /// latency, and — on the actor engine — the park/steal protocol) into
-    /// `obs`'s cells so a service-wide snapshot covers the scheduling layer.
+    /// Wires the scheduler's telemetry (the actor engine's dispatch, steal
+    /// and park counters and its dispatch latency) into `obs`'s cells so a
+    /// service-wide snapshot covers the scheduling layer.
     pub fn with_obs(mut self, obs: &DspObs) -> Self {
-        self.obs = obs.scheduler();
-        self.actor_obs = obs.actors();
+        self.obs = obs.actors();
         self
-    }
-
-    /// Selects the execution engine (defaults to
-    /// [`SchedulerEngine::Threads`]).
-    ///
-    /// ```
-    /// use sdds_dsp::service::{SchedulerEngine, SessionScheduler};
-    ///
-    /// let scheduler = SessionScheduler::new(4, 8).engine(SchedulerEngine::Actors);
-    /// assert_eq!(scheduler.engine_kind(), SchedulerEngine::Actors);
-    /// ```
-    pub fn engine(mut self, engine: SchedulerEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The selected execution engine.
-    pub fn engine_kind(&self) -> SchedulerEngine {
-        self.engine
     }
 
     /// Worker count.
@@ -219,24 +160,32 @@ impl SessionScheduler {
     }
 
     /// Runs every session to retirement and returns them with their
-    /// scheduling telemetry, on the engine selected by
-    /// [`SessionScheduler::engine`]. On the thread engine, sessions are
-    /// started in submission order and requeued FIFO, so with a single worker
-    /// the schedule is an exact round-robin; with more workers it is
-    /// round-robin up to the worker-count reordering window. The actor engine
-    /// preserves the same local-FIFO fairness per worker.
+    /// scheduling telemetry, sorted by retirement rank.
+    ///
+    /// Each session becomes a self-driving actor seeded ready on the
+    /// [`ActorEngine`]: one dispatch grants one quantum-bounded step, and a
+    /// still-pending session is requeued at the tail of its worker's FIFO.
+    /// With a single worker the schedule is an exact round-robin in
+    /// submission order; with more it is round-robin per worker, with
+    /// stealing evening out the load.
+    ///
+    /// ```
+    /// use sdds_dsp::service::{Schedulable, SessionScheduler, StepOutcome};
+    ///
+    /// struct Countdown(usize);
+    ///
+    /// impl Schedulable for Countdown {
+    ///     fn step(&mut self, quantum: usize) -> Result<StepOutcome, String> {
+    ///         self.0 = self.0.saturating_sub(quantum);
+    ///         Ok(if self.0 == 0 { StepOutcome::Complete } else { StepOutcome::Pending })
+    ///     }
+    /// }
+    ///
+    /// let report = SessionScheduler::new(4, 8).run(vec![Countdown(20), Countdown(5)]);
+    /// assert!(report.failures().is_empty());
+    /// assert_eq!(report.steps_total, 3 + 1);
+    /// ```
     pub fn run<S: Schedulable>(&self, sessions: Vec<S>) -> ScheduleReport<S> {
-        match self.engine {
-            SchedulerEngine::Threads => self.run_threads(sessions),
-            SchedulerEngine::Actors => self.run_actors(sessions),
-        }
-    }
-
-    /// The actor path: wrap each session in a self-driving [`StepActor`]
-    /// (one quantum-bounded step per dispatch), seed them all ready, and
-    /// translate the [`crate::actors::ActorReport`] back into a
-    /// [`ScheduleReport`] sorted by retirement rank.
-    fn run_actors<S: Schedulable>(&self, sessions: Vec<S>) -> ScheduleReport<S> {
         let actors: Vec<StepActor<S>> = sessions
             .into_iter()
             .map(|session| StepActor {
@@ -246,7 +195,7 @@ impl SessionScheduler {
             })
             .collect();
         let report = ActorEngine::new(self.workers)
-            .with_obs(self.actor_obs.clone())
+            .with_obs(self.obs.clone())
             .run_ready(actors);
         let steps_total = report.dispatches_total;
         let mut finished: Vec<FinishedSession<S>> = report
@@ -267,128 +216,6 @@ impl SessionScheduler {
         ScheduleReport {
             finished,
             steps_total,
-        }
-    }
-
-    /// The thread path: a shared blocking FIFO run queue.
-    fn run_threads<S: Schedulable>(&self, sessions: Vec<S>) -> ScheduleReport<S> {
-        let queue: Mutex<VecDeque<Job<S>>> = Mutex::new(
-            sessions
-                .into_iter()
-                .enumerate()
-                .map(|(index, session)| Job {
-                    index,
-                    session,
-                    steps: 0,
-                })
-                .collect(),
-        );
-        if self.obs.live {
-            self.obs.queue_depth.set(queue.lock_np().len() as u64);
-        }
-        let runnable = Condvar::new();
-        let in_flight = AtomicUsize::new(0);
-        let finished: Mutex<Vec<FinishedSession<S>>> = Mutex::new(Vec::new());
-        let steps_total = AtomicUsize::new(0);
-
-        thread::scope(|scope| {
-            for worker in 0..self.workers {
-                let queue = &queue;
-                let runnable = &runnable;
-                let in_flight = &in_flight;
-                let finished = &finished;
-                let steps_total = &steps_total;
-                let obs = &self.obs;
-                scope.spawn(move || loop {
-                    let job = {
-                        let mut q = queue.lock_np();
-                        loop {
-                            if let Some(job) = q.pop_front() {
-                                // ordering: in_flight must be visibly raised
-                                // before the queue lock drops — the exit check
-                                // below reads it under the same lock.
-                                in_flight.fetch_add(1, Ordering::SeqCst);
-                                if obs.live {
-                                    obs.queue_depth.set(q.len() as u64);
-                                }
-                                break Some(job);
-                            }
-                            // A stepping worker requeues *before* decrementing
-                            // in_flight, so while the queue lock is held,
-                            // "empty queue and nothing in flight" really means
-                            // the run is over — checked under the lock so a
-                            // concurrent requeue cannot slip between the two
-                            // reads and retire this worker while work remains.
-                            // ordering: pairs with the fetch_add/fetch_sub
-                            // around a step; both run under/against the queue
-                            // lock, so SeqCst keeps the exit check exact.
-                            if in_flight.load(Ordering::SeqCst) == 0 {
-                                break None;
-                            }
-                            // Otherwise sleep until a requeue or a retirement
-                            // signals (no busy spin while a straggler runs).
-                            q = runnable
-                                .wait(q)
-                                .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        }
-                    };
-                    let Some(mut job) = job else {
-                        // Wake any other idle worker so it can re-check the
-                        // termination condition and exit too.
-                        runnable.notify_all();
-                        break;
-                    };
-                    job.steps += 1;
-                    steps_total.fetch_add(1, Ordering::Relaxed);
-                    let started = if obs.live {
-                        obs.recorder.now_nanos()
-                    } else {
-                        0
-                    };
-                    let outcome = job.session.step(self.quantum);
-                    if obs.live {
-                        let duration = obs.recorder.now_nanos().saturating_sub(started);
-                        obs.steps.inc();
-                        obs.step_latency.record(duration);
-                        obs.recorder.record(worker, "sched.step", started, duration);
-                    }
-                    match outcome {
-                        Ok(StepOutcome::Pending) => {
-                            let mut q = queue.lock_np();
-                            q.push_back(job);
-                            if obs.live {
-                                obs.queue_depth.set(q.len() as u64);
-                            }
-                        }
-                        Ok(StepOutcome::Complete) | Err(_) => {
-                            let mut done = finished.lock_np();
-                            let completion_order = done.len();
-                            done.push(FinishedSession {
-                                index: job.index,
-                                session: job.session,
-                                steps: job.steps,
-                                completion_order,
-                                error: outcome.err(),
-                            });
-                        }
-                    }
-                    // ordering: requeue/retire above happens-before this
-                    // decrement; a worker that sees 0 under the queue lock
-                    // must also see the requeued job (or its retirement).
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    // Either a session was requeued (runnable work) or one
-                    // retired (the termination condition may now hold): both
-                    // are events the sleepers must see.
-                    runnable.notify_all();
-                });
-            }
-        });
-
-        ScheduleReport {
-            finished: finished
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-            steps_total: steps_total.into_inner(),
         }
     }
 }
@@ -497,34 +324,40 @@ mod tests {
     }
 
     #[test]
-    fn actor_engine_matches_the_thread_engine_on_equal_work() {
-        let sessions = || {
-            (0..12)
-                .map(|i| Counter {
-                    remaining: 40 + 10 * (i % 3),
-                    fail_at: if i == 5 { Some(20) } else { None },
-                })
-                .collect::<Vec<_>>()
-        };
-        let threads = SessionScheduler::new(2, 10).run(sessions());
-        let actors = SessionScheduler::new(2, 10)
-            .engine(SchedulerEngine::Actors)
-            .run(sessions());
-        assert_eq!(actors.finished.len(), threads.finished.len());
-        assert_eq!(actors.steps_total, threads.steps_total);
-        assert_eq!(actors.failures(), threads.failures());
-        // Same per-session step counts, compared in index order.
-        let per_index = |report: &ScheduleReport<Counter>| {
-            let mut steps: Vec<(usize, usize)> =
-                report.finished.iter().map(|f| (f.index, f.steps)).collect();
-            steps.sort_unstable();
-            steps
-        };
-        assert_eq!(per_index(&actors), per_index(&threads));
-        // Retirement ranks are dense on both engines.
-        let mut ranks: Vec<usize> = actors.finished.iter().map(|f| f.completion_order).collect();
-        ranks.sort_unstable();
-        assert_eq!(ranks, (0..12).collect::<Vec<_>>());
+    fn steps_match_work_and_ranks_are_dense_for_every_worker_count() {
+        const QUANTUM: usize = 10;
+        let work = |i: usize| 40 + 10 * (i % 3);
+        for workers in 1..=4 {
+            let report = SessionScheduler::new(workers, QUANTUM).run(
+                (0..12)
+                    .map(|i| Counter {
+                        remaining: work(i),
+                        fail_at: if i == 5 { Some(20) } else { None },
+                    })
+                    .collect(),
+            );
+            assert_eq!(report.finished.len(), 12, "workers={workers}");
+            assert_eq!(report.failures(), vec![(5, "boom")], "workers={workers}");
+            // Every healthy session took exactly ceil(work / quantum) steps;
+            // the failing one (work 60) retired on the step that found it at
+            // its failure point: 60 → 50 → 40 → 30 → 20 → fail.
+            for f in &report.finished {
+                let expected = if f.index == 5 {
+                    5
+                } else {
+                    work(f.index).div_ceil(QUANTUM)
+                };
+                assert_eq!(f.steps, expected, "workers={workers} index={}", f.index);
+            }
+            assert_eq!(
+                report.steps_total,
+                report.finished.iter().map(|f| f.steps).sum::<usize>(),
+                "workers={workers}"
+            );
+            // Retirement ranks are dense and the report is sorted by them.
+            let ranks: Vec<usize> = report.finished.iter().map(|f| f.completion_order).collect();
+            assert_eq!(ranks, (0..12).collect::<Vec<_>>(), "workers={workers}");
+        }
     }
 
     #[test]

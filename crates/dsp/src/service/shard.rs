@@ -54,9 +54,8 @@ use crate::store::{DocumentRecord, DspStore};
 
 // ---------------------------------------------------------------------------
 // The one serving path of the workspace: every header, chunk and rule blob —
-// whether requested through the sharded service or through the single-tenant
-// `DspServer` wrapper, from a home shard or a replica — is served and
-// accounted by these helpers.
+// whether requested from a one-shard or a many-shard service, from a home
+// shard or a replica — is served and accounted by these helpers.
 // ---------------------------------------------------------------------------
 
 /// Rejects a serve whose session pinned a revision the record no longer has.

@@ -25,13 +25,6 @@ pub const SERVE_LATENCY: &str = "dsp.serve.latency_ns";
 /// Typed failures, labelled `error=<kind>` (see the `error_*` constants).
 pub const ERRORS: &str = "dsp.errors";
 
-/// Thread-engine run queue depth (current + high-water mark).
-pub const SCHED_QUEUE_DEPTH: &str = "sched.queue_depth";
-/// Session quanta executed by the thread engine.
-pub const SCHED_STEPS: &str = "sched.steps";
-/// Wall-clock latency of one session step under the scheduler, nanoseconds.
-pub const SCHED_STEP_LATENCY: &str = "sched.step_latency_ns";
-
 /// Actor dispatches (mailbox claims that ran a session).
 pub const ACTOR_DISPATCHES: &str = "actors.dispatches";
 /// Dispatches a worker claimed from another worker's run queue.

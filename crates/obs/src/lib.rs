@@ -64,6 +64,10 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// A gauge family for the registry tests (no production family is a
+    /// gauge).
+    const QUEUE_DEPTH: &str = "test.queue_depth";
+
     fn prop_cases() -> u64 {
         std::env::var("SDDS_PROP_CASES")
             .ok()
@@ -201,7 +205,7 @@ mod tests {
             r.counter(families::SERVE_REQUESTS).add(base);
             r.counter_with(families::ERRORS, Some(families::ERROR_NOT_FOUND))
                 .add(base / 2);
-            r.gauge(families::SCHED_QUEUE_DEPTH).set(base);
+            r.gauge(QUEUE_DEPTH).set(base);
             let h = r.histogram(families::SERVE_LATENCY);
             h.record(base);
             h.record(base * 3);
@@ -223,7 +227,7 @@ mod tests {
             left.counter_with(families::ERRORS, families::ERROR_NOT_FOUND),
             2 + 4 + 15
         );
-        assert_eq!(left.gauge(families::SCHED_QUEUE_DEPTH).unwrap().peak, 30);
+        assert_eq!(left.gauge(QUEUE_DEPTH).unwrap().peak, 30);
         assert_eq!(left.histogram(families::SERVE_LATENCY).unwrap().count, 6);
     }
 
@@ -247,7 +251,7 @@ mod tests {
         let r = Registry::new();
         r.counter_with(families::SERVE_REQUESTS, Some("shard=0"))
             .add(5);
-        r.gauge(families::SCHED_QUEUE_DEPTH).set(2);
+        r.gauge(QUEUE_DEPTH).set(2);
         r.histogram(families::SERVE_LATENCY).record(1000);
         let snap = r.snapshot();
 
@@ -262,7 +266,7 @@ mod tests {
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("dsp_serve_requests{shard=\"0\"} 5"), "{prom}");
-        assert!(prom.contains("sched_queue_depth 2"), "{prom}");
+        assert!(prom.contains("test_queue_depth 2"), "{prom}");
         assert!(
             prom.contains("dsp_serve_latency_ns{quantile=\"0.5\"}"),
             "{prom}"

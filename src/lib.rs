@@ -69,7 +69,7 @@ pub use stream::ViewStream;
 pub use sdds_card::{CardProfile, CostModel};
 pub use sdds_core::conflict::AccessPolicy;
 pub use sdds_core::rule::{RuleSet, Sign, Subject};
-pub use sdds_dsp::service::{SchedulerEngine, SessionScheduler};
+pub use sdds_dsp::service::SessionScheduler;
 pub use sdds_dsp::DspService;
 pub use sdds_obs::{FlightRecorder, ObsSnapshot};
 pub use sdds_proxy::{CardSession, DisseminationChannel, SimulatedPki, Terminal};

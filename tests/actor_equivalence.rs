@@ -1,8 +1,8 @@
-//! E11 engine-equivalence contract: the actor engine is a *scheduling*
-//! change, never a *serving* change. The same facade-built card sessions,
-//! run once on the thread scheduler and once on the actor engine, must
-//! produce **byte-identical per-session views** — and the readiness-driven
-//! engine must not starve idle sessions behind a chatty one.
+//! Scheduling contract: multiplexing card sessions is a *scheduling*
+//! change, never a *serving* change. Facade-built card sessions run through
+//! the [`SessionScheduler`] must produce **byte-identical per-session
+//! views** to unscheduled pulls, and the actor executor underneath must not
+//! starve idle sessions behind a chatty one.
 //!
 //! Like the other property suites, the equivalence property runs over
 //! `SDDS_PROP_CASES` seeded deterministic cases (default 64; CI 256), each
@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use sdds::dsp::{ActorEngine, ActorSession, ActorStatus};
-use sdds::{Client, Publisher, RuleSet, SchedulerEngine, SessionScheduler};
+use sdds::{Client, Publisher, RuleSet, SessionScheduler};
 use sdds_xml::generator::{Corpus, GeneratorConfig};
 
 /// Cases per property: `SDDS_PROP_CASES` when set and parseable, else 64.
@@ -35,16 +35,17 @@ fn rules() -> RuleSet {
     .unwrap()
 }
 
-/// Byte-identical per-session views whichever engine multiplexes the cards.
+/// Byte-identical per-session views however the cards are multiplexed.
 ///
 /// Each case publishes a small hospital corpus onto a randomly shaped
 /// service (1–5 shards, optionally replicated), provisions 2–10 clients of
-/// mixed subjects, and pulls every document twice: once through
-/// `SchedulerEngine::Threads`, once through `SchedulerEngine::Actors`, with
-/// a random worker count and quantum. The views, the per-session step
-/// counts and the failure sets must match exactly.
+/// mixed subjects, and pulls every document through a
+/// [`SessionScheduler`] with a random worker count and quantum. Each
+/// scheduled view must equal that client's unscheduled
+/// [`Client::authorized_view`], and the per-session step counts and the
+/// failure set must equal those of a one-worker run of the same sessions.
 #[test]
-fn actor_and_thread_engines_serve_byte_identical_views() {
+fn scheduled_views_match_serial_pulls_and_the_one_worker_run() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0xE11_0001 + case);
         let shards = rng.gen_range(1..=5usize);
@@ -79,54 +80,54 @@ fn actor_and_thread_engines_serve_byte_identical_views() {
                 Client::builder(subject).provision(&publisher).unwrap()
             })
             .collect();
+        let folder = |i: usize| format!("folder-{}", i % docs);
         let connect_all = || {
             clients
                 .iter()
                 .enumerate()
-                .map(|(i, c)| c.connect(format!("folder-{}", i % docs)).unwrap())
+                .map(|(i, c)| c.connect(folder(i)).unwrap())
                 .collect::<Vec<_>>()
         };
 
-        let threads = SessionScheduler::new(workers, quantum).run(connect_all());
-        let actors = SessionScheduler::new(workers, quantum)
-            .engine(SchedulerEngine::Actors)
-            .run(connect_all());
+        let scheduled = SessionScheduler::new(workers, quantum).run(connect_all());
+        let one_worker = SessionScheduler::new(1, quantum).run(connect_all());
 
         assert!(
-            threads.failures().is_empty(),
+            scheduled.failures().is_empty(),
             "{shape}: {:?}",
-            threads.failures()
+            scheduled.failures()
         );
-        assert!(
-            actors.failures().is_empty(),
-            "{shape}: {:?}",
-            actors.failures()
-        );
-        assert_eq!(threads.finished.len(), clients_n, "{shape}");
-        assert_eq!(actors.finished.len(), clients_n, "{shape}");
         assert_eq!(
-            threads.steps_total, actors.steps_total,
-            "{shape}: engines granted different total work"
+            scheduled.failures(),
+            one_worker.failures(),
+            "{shape}: failure sets differ from the one-worker run"
+        );
+        assert_eq!(scheduled.finished.len(), clients_n, "{shape}");
+        assert_eq!(one_worker.finished.len(), clients_n, "{shape}");
+        assert_eq!(
+            scheduled.steps_total, one_worker.steps_total,
+            "{shape}: worker count changed the total work"
         );
 
-        // Compare per submission index: retirement order may differ between
-        // engines, the served bytes and the work per session may not.
-        let mut thread_by_index: Vec<_> = threads.finished.iter().collect();
-        thread_by_index.sort_by_key(|f| f.index);
-        let mut actor_by_index: Vec<_> = actors.finished.iter().collect();
-        actor_by_index.sort_by_key(|f| f.index);
-        for (t, a) in thread_by_index.iter().zip(&actor_by_index) {
-            assert_eq!(t.index, a.index, "{shape}");
+        // Compare per submission index: retirement order may differ with the
+        // worker count, the served bytes and the work per session may not.
+        let mut scheduled_by_index: Vec<_> = scheduled.finished.iter().collect();
+        scheduled_by_index.sort_by_key(|f| f.index);
+        let mut one_worker_by_index: Vec<_> = one_worker.finished.iter().collect();
+        one_worker_by_index.sort_by_key(|f| f.index);
+        for (s, one) in scheduled_by_index.iter().zip(&one_worker_by_index) {
+            assert_eq!(s.index, one.index, "{shape}");
+            let serial = clients[s.index].authorized_view(&folder(s.index)).unwrap();
             assert_eq!(
-                t.session.view(),
-                a.session.view(),
-                "{shape}: session {} view differs between engines",
-                t.index
+                s.session.view(),
+                Some(serial.as_str()),
+                "{shape}: session {} view differs from its unscheduled pull",
+                s.index
             );
             assert_eq!(
-                t.steps, a.steps,
-                "{shape}: session {} took different step counts",
-                t.index
+                s.steps, one.steps,
+                "{shape}: session {} took different step counts than on one worker",
+                s.index
             );
         }
     }
