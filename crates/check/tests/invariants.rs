@@ -18,9 +18,9 @@ use sdds_check::Model;
 use sdds_core::error::CoreError;
 use sdds_core::secdoc::{SecureDocument, SecureDocumentBuilder};
 use sdds_crypto::SecretKey;
-use sdds_dsp::server::AtomicServerStats;
 use sdds_dsp::service::scheduler::{Schedulable, SessionScheduler, StepOutcome};
 use sdds_dsp::service::shard::ShardedStore;
+use sdds_dsp::ShardObs;
 use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
 /// A small secure document; `salt` varies the content so that republished
@@ -116,7 +116,8 @@ fn replication_invalidates_before_publish() {
 // Invariant 2: stats counters lose nothing and never run ahead.
 // ---------------------------------------------------------------------------
 
-/// Concurrent `record_*` calls never lose a count: once both threads join,
+/// Concurrent `ShardObs::record_*` calls — the shard's serve counts, whose
+/// only store is these cells — never lose a count: once both threads join,
 /// the totals are exact. A *concurrent* snapshot may be torn mid-record
 /// (the checker demonstrates schedules where it reads `requests` before the
 /// bump and `chunks_served` after — which is exactly why `reset_stats`
@@ -126,7 +127,7 @@ fn replication_invalidates_before_publish() {
 fn stats_never_lose_or_invent_counts() {
     let report = model()
         .check("stats_no_lost_counts", || {
-            let stats = AtomicServerStats::default();
+            let stats = ShardObs::default();
             thread::scope(|scope| {
                 scope.spawn(|| {
                     stats.record_chunk(10);
@@ -147,14 +148,14 @@ fn stats_never_lose_or_invent_counts() {
     assert_explored(&report, "stats_no_lost_counts");
 }
 
-/// A concurrent `reset` may erase any prefix of an in-flight record, but it
-/// never duplicates one: every counter ends at or below its recorded total,
-/// and the order invariant keeps holding.
+/// A concurrent `ShardObs::reset` may erase any prefix of an in-flight
+/// record, but it never duplicates one: every counter ends at or below its
+/// recorded total, and the order invariant keeps holding.
 #[test]
 fn stats_reset_race_never_duplicates() {
     let report = model()
         .check("stats_reset_race", || {
-            let stats = AtomicServerStats::default();
+            let stats = ShardObs::default();
             thread::scope(|scope| {
                 scope.spawn(|| {
                     stats.record_chunk(10);

@@ -7,8 +7,9 @@
 //! verifies everything). This crate provides:
 //!
 //! * [`store`] — the encrypted document / protected rule store with versioning,
-//! * [`server`] — the byte accounting of everything the DSP serves
-//!   ([`ServerStats`], [`AtomicServerStats`]),
+//! * [`obs`] — the DSP's telemetry, including the byte accounting of
+//!   everything it serves: each shard's registered [`ShardObs`] cells are the
+//!   only store of its serve counts, read back as [`ServerStats`],
 //! * [`dissemination`] — the broadcast unit of experiment E6: already
 //!   encrypted [`StreamItem`]s (produced by the trusted, proxy-side
 //!   `sdds_proxy::DisseminationChannel`, which keeps the key and the
@@ -35,14 +36,12 @@
 pub mod actors;
 pub mod dissemination;
 pub mod obs;
-pub mod server;
 pub mod service;
 pub mod store;
 
 pub use actors::{ActorEngine, ActorReport, ActorSession, ActorStatus, FinishedActor};
 pub use dissemination::StreamItem;
-pub use obs::{ActorObs, DspObs, ErrorObs, ServeObs, SessionObs, ShardObs};
-pub use server::{AtomicServerStats, ServerStats};
+pub use obs::{ActorObs, DspObs, ErrorObs, ServeObs, ServerStats, SessionObs, ShardObs};
 pub use service::{
     DspService, FanOutDisseminator, HotPolicy, Schedulable, ScheduleReport, ServiceModel,
     SessionScheduler, ShardedStore, StepOutcome,

@@ -12,16 +12,16 @@
 //! telemetry work entirely: a detached component pays nothing, and — just as
 //! important — adds no scheduling points to the `sdds-check` model-checked
 //! scenarios, which all build components stand-alone. Registered bundles
-//! (everything a [`crate::DspService`] hands out) are live.
+//! (everything a [`crate::DspService`] hands out) are live. The one
+//! exception is the serve accounting: each [`ShardObs`] is the only store of
+//! its shard's serve counts (read back as [`ServerStats`]), so those cells
+//! count whether the bundle is live or not.
 //!
 //! Metric family names live in [`sdds_obs::families`]; the `doc-sync` lint
 //! rule keeps ARCHITECTURE.md's metric table synchronized with that module.
 
 use sdds_core::CoreError;
 use sdds_obs::{families, Counter, FlightRecorder, Histogram, ObsSnapshot, Registry};
-use sdds_sync::sync::Arc;
-
-use crate::server::AtomicServerStats;
 
 /// Flight-recorder lanes: enough for the worker counts the schedulers use;
 /// callers key lanes by worker or shard index (wrapped into range).
@@ -56,16 +56,120 @@ impl ErrorObs {
     }
 }
 
-/// Per-shard serving handles: the byte-accounting counters (shared with the
-/// shard's [`AtomicServerStats`]) plus routing and staleness tallies.
+/// Serving statistics of a DSP (a whole service, or one shard of the
+/// [`crate::service::ShardedStore`]): a plain-value [`ShardObs::snapshot`].
+///
+/// Every served payload is counted by exactly one `ShardObs::record_*` call,
+/// inside the shard that served it — so `bytes_served` counts headers,
+/// chunks + proofs and rule blobs each exactly once, and merging per-shard
+/// statistics cannot double- or under-count any class of payload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Requests served.
+    pub requests: usize,
+    /// Payload bytes served (headers, chunks, proofs, rule blobs).
+    pub bytes_served: usize,
+    /// Chunk requests served.
+    pub chunks_served: usize,
+    /// Rule-blob requests served.
+    pub rule_blobs_served: usize,
+    /// Bytes of protected rule blobs served (a subset of `bytes_served`).
+    pub rule_bytes_served: usize,
+}
+
+impl ServerStats {
+    /// Merges the counters of another server (or shard) into this one.
+    pub fn merge(&mut self, other: &ServerStats) {
+        self.requests += other.requests;
+        self.bytes_served += other.bytes_served;
+        self.chunks_served += other.chunks_served;
+        self.rule_blobs_served += other.rule_blobs_served;
+        self.rule_bytes_served += other.rule_bytes_served;
+    }
+}
+
+/// Per-shard serving handles: the only store of the shard's serve counts
+/// (`dsp.serve.*`, labelled per shard) plus routing and staleness tallies.
+///
+/// Serve counts are the only thing a DSP read mutates, so keeping them in
+/// relaxed counters is what lets every `fetch_*` run under a shard's
+/// **read** lock. Relaxed ordering is enough: the counters are independent
+/// monotonic tallies, never used to synchronise other memory, and
+/// [`ShardObs::snapshot`] is read either under the shard's write lock
+/// (reset) or after the traffic of interest quiesced (reporting). The
+/// [`Default`] form is detached (no registry) and still counts. Clones share
+/// cells.
 #[derive(Debug, Clone, Default)]
 pub struct ShardObs {
-    /// The shard's serving counters (`dsp.serve.*`, labelled per shard).
-    pub stats: AtomicServerStats,
+    requests: Counter,
+    bytes_served: Counter,
+    chunks_served: Counter,
+    rule_blobs_served: Counter,
+    rule_bytes_served: Counter,
     /// Requests this shard answered from a replica clone.
     pub replica_routes: Counter,
     /// Stale-revision rejections raised while this shard served.
     pub stale_revisions: Counter,
+}
+
+impl ShardObs {
+    /// Handles registered in `registry`, labelled with the owning shard
+    /// (`"shard=3"`).
+    fn registered(registry: &Registry, label: &str) -> Self {
+        let counter = |family| registry.counter_with(family, Some(label));
+        ShardObs {
+            requests: counter(families::SERVE_REQUESTS),
+            bytes_served: counter(families::SERVE_BYTES),
+            chunks_served: counter(families::SERVE_CHUNKS),
+            rule_blobs_served: counter(families::SERVE_RULE_BLOBS),
+            rule_bytes_served: counter(families::SERVE_RULE_BYTES),
+            replica_routes: counter(families::SERVE_REPLICA_ROUTES),
+            stale_revisions: counter(families::SERVE_STALE),
+        }
+    }
+
+    /// Records one served document header of `bytes` payload.
+    pub fn record_header(&self, bytes: usize) {
+        self.requests.inc();
+        self.bytes_served.add(bytes as u64);
+    }
+
+    /// Records one served chunk (ciphertext + proof) of `bytes` payload.
+    pub fn record_chunk(&self, bytes: usize) {
+        self.requests.inc();
+        self.bytes_served.add(bytes as u64);
+        self.chunks_served.inc();
+    }
+
+    /// Records one served protected rule blob of `bytes` payload.
+    pub fn record_rules(&self, bytes: usize) {
+        self.requests.inc();
+        self.bytes_served.add(bytes as u64);
+        self.rule_blobs_served.inc();
+        self.rule_bytes_served.add(bytes as u64);
+    }
+
+    /// A plain-value snapshot of the serve counts.
+    pub fn snapshot(&self) -> ServerStats {
+        ServerStats {
+            requests: self.requests.get() as usize,
+            bytes_served: self.bytes_served.get() as usize,
+            chunks_served: self.chunks_served.get() as usize,
+            rule_blobs_served: self.rule_blobs_served.get() as usize,
+            rule_bytes_served: self.rule_bytes_served.get() as usize,
+        }
+    }
+
+    /// Zeroes the serve counts (call under the owning shard's write lock so
+    /// no concurrent serve is torn across the reset). Routing and staleness
+    /// tallies are left alone.
+    pub fn reset(&self) {
+        self.requests.reset();
+        self.bytes_served.reset();
+        self.chunks_served.reset();
+        self.rule_blobs_served.reset();
+        self.rule_bytes_served.reset();
+    }
 }
 
 /// Serving-path telemetry of a [`crate::ShardedStore`]. Clones share cells.
@@ -93,15 +197,7 @@ impl ServeObs {
     ) -> Self {
         ServeObs {
             shards: (0..shards.max(1))
-                .map(|index| {
-                    let label = format!("shard={index}");
-                    ShardObs {
-                        stats: AtomicServerStats::registered(registry, &label),
-                        replica_routes: registry
-                            .counter_with(families::SERVE_REPLICA_ROUTES, Some(&label)),
-                        stale_revisions: registry.counter_with(families::SERVE_STALE, Some(&label)),
-                    }
-                })
+                .map(|index| ShardObs::registered(registry, &format!("shard={index}")))
                 .collect(),
             latency: registry.histogram(families::SERVE_LATENCY),
             errors,
@@ -264,7 +360,6 @@ pub struct DspObs {
     serve: ServeObs,
     actors: ActorObs,
     session: SessionObs,
-    errors: ErrorObs,
 }
 
 impl DspObs {
@@ -282,13 +377,7 @@ impl DspObs {
             serve,
             actors,
             session,
-            errors,
         }
-    }
-
-    /// The registry behind the handles.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// The shared flight recorder.
@@ -312,25 +401,8 @@ impl DspObs {
         self.session.clone()
     }
 
-    /// Labelled error counters.
-    pub fn errors(&self) -> ErrorObs {
-        self.errors.clone()
-    }
-
     /// A point-in-time snapshot of every registered metric.
     pub fn snapshot(&self) -> ObsSnapshot {
         self.registry.snapshot()
     }
-
-    /// Zeroes every registered metric (between experiment runs).
-    pub fn reset(&self) {
-        self.registry.reset();
-    }
-}
-
-/// A shareable default bundle: `Arc<DspObs>` with one shard's worth of
-/// serving handles — what detached components use when no service wires
-/// them.
-pub fn detached() -> Arc<DspObs> {
-    Arc::new(DspObs::new(1))
 }

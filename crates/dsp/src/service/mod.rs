@@ -12,8 +12,9 @@
 //!                               │  ┌shard 0┐ ┌shard 1┐      ┌shard N-1┐  │
 //!                               │  │RwLock │ │RwLock │ ...  │ RwLock  │  │
 //!                               │  │store  │ │store  │      │ store   │  │
-//!                               │  │stats  │ │stats  │      │ stats   │  │
 //!                               │  └───────┘ └───────┘      └─────────┘  │
+//!                               │  ShardObs per shard: dsp.serve.* cells │
+//!                               │  (the only store of the serve counts)  │
 //!                               └──────────────────▲─────────────────────┘
 //!                                fetch_header/chunk│/rules   (&self, Sync)
 //!                    ┌─────── SessionScheduler ────┴──────┐
@@ -83,8 +84,7 @@ use sdds_core::session::ProtectedRules;
 use sdds_core::CoreError;
 use sdds_crypto::merkle::MerkleProof;
 
-use crate::obs::DspObs;
-use crate::server::ServerStats;
+use crate::obs::{DspObs, ServerStats};
 
 /// Service-time model of one DSP shard (the DSP-side analogue of the card's
 /// `CostModel`): converts serving counters into simulated serial time.
@@ -115,14 +115,23 @@ impl ServiceModel {
     }
 
     /// Simulated serial time one shard needs to serve `stats` worth of
-    /// traffic.
+    /// traffic, saturating at [`Duration::MAX`].
     pub fn service_time(&self, stats: &ServerStats) -> Duration {
         let wire = if self.serve_bytes_per_second.is_finite() && self.serve_bytes_per_second > 0.0 {
             Duration::from_secs_f64(stats.bytes_served as f64 / self.serve_bytes_per_second)
         } else {
             Duration::ZERO
         };
-        wire + self.per_request_overhead * stats.requests as u32
+        // Exact in u128 nanoseconds: a `u32` request count would wrap at 2^32.
+        let overhead_nanos = self
+            .per_request_overhead
+            .as_nanos()
+            .saturating_mul(stats.requests as u128);
+        let overhead = u64::try_from(overhead_nanos / 1_000_000_000)
+            .map_or(Duration::MAX, |secs| {
+                Duration::new(secs, (overhead_nanos % 1_000_000_000) as u32)
+            });
+        wire.saturating_add(overhead)
     }
 }
 
@@ -382,8 +391,10 @@ impl DspService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdds_core::rule::RuleSet;
     use sdds_core::secdoc::SecureDocumentBuilder;
     use sdds_crypto::SecretKey;
+    use sdds_obs::families;
     use sdds_xml::generator::{self, GeneratorConfig, HospitalProfile};
 
     fn document(id: &str) -> SecureDocument {
@@ -397,17 +408,162 @@ mod tests {
         SecureDocumentBuilder::new(id, SecretKey::derive(b"s", "k")).build(&doc)
     }
 
+    fn sealed_rules() -> ProtectedRules {
+        ProtectedRules::seal(
+            &RuleSet::parse("+, doctor, //patient").unwrap(),
+            &SecretKey::derive(b"s", "rules"),
+        )
+    }
+
+    /// A single-tenant DSP: a one-shard service holding one folder and the
+    /// doctor's rule blob.
+    fn single_tenant() -> DspService {
+        let service = DspService::new(1);
+        service.put_document(document("folder"));
+        service
+            .put_rules("folder", "doctor", &sealed_rules())
+            .unwrap();
+        service
+    }
+
+    #[test]
+    fn serves_headers_chunks_and_rules_with_accounting() {
+        let s = single_tenant();
+        let header = s.fetch_header("folder").unwrap();
+        assert_eq!(header.doc_id, "folder");
+        let (chunk, proof) = s.fetch_chunk("folder", 0).unwrap();
+        proof.verify(&chunk, &header.merkle_root).unwrap();
+        let rules = s.fetch_rules("folder", "doctor").unwrap();
+        assert!(!rules.is_empty());
+        let stats = s.stats();
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.chunks_served, 1);
+        assert!(stats.bytes_served > chunk.len());
+        s.reset_stats();
+        assert_eq!(s.stats().requests, 0);
+    }
+
+    #[test]
+    fn rule_blob_bytes_are_counted_exactly_once() {
+        let s = single_tenant();
+        let blob = s.fetch_rules("folder", "doctor").unwrap();
+        let stats = s.stats();
+        assert_eq!(stats.rule_blobs_served, 1);
+        assert_eq!(stats.rule_bytes_served, blob.len());
+        // Rule bytes are a subset of bytes_served, not an addition to it.
+        assert_eq!(stats.bytes_served, blob.len());
+        let (chunk, proof) = s.fetch_chunk("folder", 0).unwrap();
+        assert_eq!(
+            s.stats().bytes_served,
+            blob.len() + chunk.len() + proof.encode().len()
+        );
+        assert_eq!(s.stats().rule_bytes_served, blob.len());
+    }
+
+    #[test]
+    fn unknown_objects_are_reported() {
+        let s = single_tenant();
+        assert!(s.fetch_header("nope").is_err());
+        assert!(s.fetch_chunk("folder", 9999).is_err());
+        assert!(s.fetch_rules("folder", "stranger").is_err());
+        assert!(s.contains("folder"));
+        assert!(!s.contains("nope"));
+        assert_eq!(s.revision("folder"), Some(0));
+        assert_eq!(s.revision("nope"), None);
+    }
+
+    #[test]
+    fn registry_and_shard_stats_agree() {
+        let service = DspService::new(4);
+        service.put_document(document("hot"));
+        service.pin_replicas("hot", 4).unwrap();
+        let subjects: Vec<String> = (0..8).map(|i| format!("subject-{i}")).collect();
+        for subject in &subjects {
+            service.put_rules("hot", subject, &sealed_rules()).unwrap();
+        }
+        let (header, revision) = service.fetch_header_pinned("hot").unwrap();
+        for salt in 0..8 {
+            service.fetch_header_pinned_salted("hot", salt).unwrap();
+        }
+        for index in 0..header.chunk_count {
+            service.fetch_chunk("hot", index).unwrap();
+        }
+        for subject in &subjects {
+            service
+                .fetch_rules_pinned("hot", subject, revision)
+                .unwrap();
+        }
+
+        let agree = |service: &DspService| {
+            let snapshot = service.obs_snapshot();
+            for (i, stats) in service.shard_stats().iter().enumerate() {
+                let label = format!("shard={i}");
+                let cell = |family| snapshot.counter_with(family, &label) as usize;
+                assert_eq!(cell(families::SERVE_REQUESTS), stats.requests, "{label}");
+                assert_eq!(cell(families::SERVE_BYTES), stats.bytes_served, "{label}");
+                assert_eq!(cell(families::SERVE_CHUNKS), stats.chunks_served, "{label}");
+                assert_eq!(
+                    cell(families::SERVE_RULE_BLOBS),
+                    stats.rule_blobs_served,
+                    "{label}"
+                );
+                assert_eq!(
+                    cell(families::SERVE_RULE_BYTES),
+                    stats.rule_bytes_served,
+                    "{label}"
+                );
+            }
+            snapshot
+        };
+        let snapshot = agree(&service);
+        assert!(
+            snapshot.counter(families::SERVE_REPLICA_ROUTES) > 0,
+            "some serves must be replica-routed"
+        );
+        assert_eq!(
+            service.stats().requests,
+            9 + header.chunk_count as usize + subjects.len()
+        );
+
+        service.reset_stats();
+        assert_eq!(service.stats(), ServerStats::default());
+        let snapshot = agree(&service);
+        assert_eq!(snapshot.counter(families::SERVE_REQUESTS), 0);
+        assert_eq!(snapshot.counter(families::SERVE_BYTES), 0);
+    }
+
     #[test]
     fn service_time_charges_requests_and_bytes() {
         let model = ServiceModel::lan();
-        let mut stats = ServerStats::default();
-        stats.record_chunk(50_000_000); // 1 s of wire at 50 MB/s
+        let stats = ServerStats {
+            requests: 1,
+            bytes_served: 50_000_000, // 1 s of wire at 50 MB/s
+            chunks_served: 1,
+            ..ServerStats::default()
+        };
         let t = model.service_time(&stats);
         assert!((t.as_secs_f64() - 1.0001).abs() < 1e-6);
         assert_eq!(
             ServiceModel::infinite().service_time(&stats),
             Duration::ZERO
         );
+    }
+
+    #[test]
+    fn service_time_does_not_wrap_past_u32_requests() {
+        let stats = ServerStats {
+            requests: u32::MAX as usize + 1,
+            ..ServerStats::default()
+        };
+        assert_eq!(
+            ServiceModel::lan().service_time(&stats),
+            Duration::from_nanos(100_000 << 32)
+        );
+        let model = ServiceModel {
+            per_request_overhead: Duration::MAX,
+            serve_bytes_per_second: 1.0,
+        };
+        assert_eq!(model.service_time(&stats), Duration::MAX);
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! request of every client serializes on the same structure, which is exactly
 //! the bottleneck the E10 experiment measures. [`ShardedStore`] splits the
 //! document space over `N` shards keyed by the FNV-1a hash of the document id;
-//! each shard holds its own [`DspStore`] and its own [`AtomicServerStats`]
-//! behind its own `RwLock`, so requests for documents on different shards
-//! proceed concurrently.
+//! each shard holds its own [`DspStore`] behind its own `RwLock`, so requests
+//! for documents on different shards proceed concurrently.
 //!
 //! **Serving takes the shard's *read* lock.** The only state a serve mutates
-//! is its shard's statistics, and those are relaxed atomics
-//! ([`AtomicServerStats`]) — so same-shard readers proceed concurrently too,
+//! is its shard's serve counts, and those are relaxed counters in the
+//! shard's [`ShardObs`] — so same-shard readers proceed concurrently too,
 //! and only the write paths (`put_document`, rule-blob sync, replication,
 //! `reset_stats`) take the write lock. The DSP is a read-mostly content
 //! server: millions of card-holders pull, publishers rarely push.
@@ -34,8 +33,7 @@
 //! fail Merkle verification against the old header.
 //!
 //! Global statistics are obtained by merging the per-shard counters on read
-//! ([`ShardedStore::stats`]), using the same [`ServerStats::merge`] the
-//! single-tenant server tests pin.
+//! ([`ShardedStore::stats`], via [`ServerStats::merge`]).
 
 use sdds_sync::sync::atomic::{AtomicUsize, Ordering};
 use sdds_sync::sync::{Arc, RwLock, RwLockExt};
@@ -48,8 +46,7 @@ use sdds_core::CoreError;
 use sdds_crypto::merkle::MerkleProof;
 use sdds_xml::symbols::Fnv1a;
 
-use crate::obs::ServeObs;
-use crate::server::{AtomicServerStats, ServerStats};
+use crate::obs::{ServeObs, ServerStats, ShardObs};
 use crate::store::{DocumentRecord, DspStore};
 
 // ---------------------------------------------------------------------------
@@ -74,7 +71,7 @@ fn check_revision(record: &DocumentRecord, pinned: Option<u64>) -> Result<(), Co
 /// Serves a document header out of `record`, accounting it on `stats`.
 fn serve_header(
     record: &DocumentRecord,
-    stats: &AtomicServerStats,
+    stats: &ShardObs,
     pinned: Option<u64>,
 ) -> Result<DocumentHeader, CoreError> {
     check_revision(record, pinned)?;
@@ -92,7 +89,7 @@ fn serve_header(
 /// Merkle sibling path, regardless of the chunk size.
 fn serve_chunk(
     record: &DocumentRecord,
-    stats: &AtomicServerStats,
+    stats: &ShardObs,
     index: u32,
     pinned: Option<u64>,
 ) -> Result<(Arc<[u8]>, MerkleProof), CoreError> {
@@ -115,7 +112,7 @@ fn serve_chunk(
 /// `Arc`-shared with the store, so a serve never copies it.
 fn serve_rules(
     record: &DocumentRecord,
-    stats: &AtomicServerStats,
+    stats: &ShardObs,
     subject: &str,
     pinned: Option<u64>,
 ) -> Result<Arc<[u8]>, CoreError> {
@@ -171,14 +168,14 @@ struct ReplicaEntry {
     serves: AtomicUsize,
 }
 
-/// One shard: a plain store, read-only clones of hot documents homed on
-/// *other* shards, and the serving counters. Clones of one document share
-/// one heap allocation (`Arc`) until a rule-blob sync diverges them.
+/// One shard: a plain store and read-only clones of hot documents homed on
+/// *other* shards (its serve counts live in its [`ShardObs`]). Clones of one
+/// document share one heap allocation (`Arc`) until a rule-blob sync
+/// diverges them.
 #[derive(Debug, Default)]
 struct Shard {
     store: DspStore,
     replicas: HashMap<String, Arc<DocumentRecord>>,
-    stats: AtomicServerStats,
 }
 
 /// A document store sharded by FNV of the document id, with optional
@@ -195,11 +192,9 @@ pub struct ShardedStore {
     /// no replication shares no routing state between shards at all.
     replicated: AtomicUsize,
     hot: Option<HotPolicy>,
-    /// Serving telemetry: latency spans, routing and error counters. The
-    /// payload accounting itself stays in each shard's
-    /// [`AtomicServerStats`]; `obs` only adds parallel tallies, so the
-    /// deterministic per-shard byte counts the capacity model reads are
-    /// untouched by instrumentation.
+    /// Serving telemetry: each shard's serve counts (the only store of
+    /// them — [`ShardedStore::stats`] reads them back), plus latency spans,
+    /// routing and error counters.
     obs: ServeObs,
 }
 
@@ -221,14 +216,10 @@ impl ShardedStore {
     }
 
     /// Attaches registry-backed serving telemetry (see
-    /// [`crate::obs::DspObs`]): each shard's [`AtomicServerStats`] is
-    /// swapped for the registered cells of `obs`, so the registry snapshot
-    /// reports the same counters [`ShardedStore::stats`] merges. Call at
-    /// construction time, before any document is served.
+    /// [`crate::obs::DspObs`]): the registry snapshot then reports the same
+    /// serve counts [`ShardedStore::stats`] merges. Call at construction
+    /// time, before any document is served.
     pub fn with_obs(self, obs: ServeObs) -> Self {
-        for (index, shard) in self.shards.iter().enumerate() {
-            shard.write_np().stats = obs.shard(index).stats.clone();
-        }
         ShardedStore { obs, ..self }
     }
 
@@ -296,7 +287,7 @@ impl ShardedStore {
         &self,
         doc_id: &str,
         salt: u64,
-        serve: impl Fn(&DocumentRecord, &AtomicServerStats) -> Result<T, CoreError>,
+        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, CoreError>,
     ) -> Result<T, CoreError> {
         let started = if self.obs.live {
             self.obs.recorder.now_nanos()
@@ -319,12 +310,12 @@ impl ShardedStore {
         doc_id: &str,
         home: usize,
         routed: usize,
-        serve: impl Fn(&DocumentRecord, &AtomicServerStats) -> Result<T, CoreError>,
+        serve: impl Fn(&DocumentRecord, &ShardObs) -> Result<T, CoreError>,
     ) -> (Result<T, CoreError>, usize) {
         if routed != home {
             let shard = self.shards[routed].read_np();
             if let Some(record) = shard.replicas.get(doc_id) {
-                let served = serve(record.as_ref(), &shard.stats);
+                let served = serve(record.as_ref(), self.obs.shard(routed));
                 drop(shard);
                 if self.obs.live {
                     self.obs.shard(routed).replica_routes.inc();
@@ -343,7 +334,7 @@ impl ShardedStore {
                 home,
             );
         };
-        let served = serve(record, &shard.stats);
+        let served = serve(record, self.obs.shard(home));
         drop(shard);
         self.note_serve(doc_id);
         (served, home)
@@ -654,8 +645,8 @@ impl ShardedStore {
     /// Merged statistics of every shard.
     pub fn stats(&self) -> ServerStats {
         let mut merged = ServerStats::default();
-        for shard in &self.shards {
-            merged.merge(&shard.read_np().stats.snapshot());
+        for index in 0..self.shards.len() {
+            merged.merge(&self.obs.shard(index).snapshot());
         }
         merged
     }
@@ -663,16 +654,17 @@ impl ShardedStore {
     /// Per-shard statistics, indexed by shard (the capacity model reads the
     /// busiest shard off this).
     pub fn shard_stats(&self) -> Vec<ServerStats> {
-        self.shards
-            .iter()
-            .map(|s| s.read_np().stats.snapshot())
+        (0..self.shards.len())
+            .map(|index| self.obs.shard(index).snapshot())
             .collect()
     }
 
-    /// Resets the statistics of every shard.
+    /// Resets the statistics of every shard, each under its shard's write
+    /// lock so no in-flight serve is torn across the reset.
     pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.write_np().stats.reset();
+        for (index, shard) in self.shards.iter().enumerate() {
+            let _guard = shard.write_np();
+            self.obs.shard(index).reset();
         }
     }
 

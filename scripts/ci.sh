@@ -60,14 +60,16 @@ echo "==> obs snapshot (harness --obs --obs-only: E10/E11 telemetry report)"
 # with observability wired in and dumps the merged ObsSnapshot + flight
 # recorder. The report must be valid JSON and carry one family from each
 # instrumented layer (serve, the actor executor the scheduler runs on,
-# session) plus the flight recorder.
+# session) plus the flight recorder, and every serve-count family: the
+# registered per-shard cells are the only store of the DSP's serve counts.
 obs_report="$(mktemp -t sdds-obs-XXXXXX.json)"
 trap 'rm -f "$obs_report"' EXIT
 target/release/harness --obs "$obs_report" --obs-only
 if command -v python3 >/dev/null 2>&1; then
     python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$obs_report"
 fi
-for family in dsp.serve.requests dsp.serve.latency_ns \
+for family in dsp.serve.requests dsp.serve.bytes dsp.serve.chunks \
+    dsp.serve.rule_blobs dsp.serve.rule_bytes dsp.serve.latency_ns \
     actors.dispatches session.apdu_round_trips sdds-obs-flight-v1; do
     grep -qF "$family" "$obs_report" ||
         { echo "obs report is missing \`$family\`" >&2; exit 1; }
