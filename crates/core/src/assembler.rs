@@ -42,6 +42,21 @@ struct RenderFrame {
 struct QueuedEvent {
     event: Event,
     annotation: Option<NodeAnnotation>,
+    /// The event's secure-RAM charge while queued ([`queued_ram_bytes`]).
+    ram: usize,
+}
+
+/// Secure-RAM charge of one queued event: its serialized length plus 16
+/// bytes of queue bookkeeping.
+fn queued_ram_bytes(event: &Event) -> usize {
+    event.serialized_len() + 16
+}
+
+impl RenderFrame {
+    /// Secure-RAM charge of one open element in the rendered view.
+    fn ram_bytes(&self) -> usize {
+        self.name.len() + 4
+    }
 }
 
 /// Counters exposed by the assembler.
@@ -72,6 +87,13 @@ pub struct ViewAssembler {
     queue: VecDeque<QueuedEvent>,
     stack: Vec<RenderFrame>,
     ready: Vec<Event>,
+    /// Running totals of the queue's and the render stack's RAM charges,
+    /// updated at every push and pop.
+    queue_bytes: usize,
+    stack_bytes: usize,
+    /// Reusable scratch of [`ViewAssembler::decide`]: the rules applying to
+    /// the node being decided.
+    direct: Vec<DirectRule>,
     stats: AssemblerStats,
     pending_high_water: Option<usize>,
 }
@@ -87,6 +109,9 @@ impl ViewAssembler {
             queue: VecDeque::new(),
             stack: Vec::new(),
             ready: Vec::new(),
+            queue_bytes: 0,
+            stack_bytes: 0,
+            direct: Vec::new(),
             stats: AssemblerStats::default(),
             pending_high_water: None,
         }
@@ -136,14 +161,19 @@ impl ViewAssembler {
         self.stack.last().map(|f| (f.decision, f.in_scope))
     }
 
-    /// Current secure-RAM footprint, in bytes.
+    /// Current secure-RAM footprint, in bytes: the queued events, the open
+    /// elements of the rendered view and one bit per instance truth. O(1):
+    /// the queue and stack terms are running totals.
     pub fn ram_bytes(&self) -> usize {
-        let queued: usize = self
-            .queue
-            .iter()
-            .map(|q| q.event.serialized_len() + 16)
-            .sum();
-        let stack: usize = self.stack.iter().map(|f| f.name.len() + 4).sum();
+        self.queue_bytes + self.stack_bytes + self.truths.len() / 8
+    }
+
+    /// [`ViewAssembler::ram_bytes`] recomputed by walking the queue and the
+    /// render stack: the oracle the running totals are checked against.
+    #[cfg(test)]
+    pub(crate) fn ram_bytes_recount(&self) -> usize {
+        let queued: usize = self.queue.iter().map(|q| queued_ram_bytes(&q.event)).sum();
+        let stack: usize = self.stack.iter().map(RenderFrame::ram_bytes).sum();
         queued + stack + self.truths.len() / 8
     }
 
@@ -168,7 +198,13 @@ impl ViewAssembler {
                 }
             }
             EngineOutput::Annotated { event, annotation } => {
-                self.queue.push_back(QueuedEvent { event, annotation });
+                let ram = queued_ram_bytes(&event);
+                self.queue_bytes += ram;
+                self.queue.push_back(QueuedEvent {
+                    event,
+                    annotation,
+                    ram,
+                });
                 self.stats.peak_pending_events =
                     self.stats.peak_pending_events.max(self.queue.len());
             }
@@ -177,9 +213,9 @@ impl ViewAssembler {
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
     }
 
-    /// Takes the events rendered so far.
-    pub fn take_ready(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.ready)
+    /// Moves the events rendered so far to the end of `out`.
+    pub fn take_ready(&mut self, out: &mut Vec<Event>) {
+        out.append(&mut self.ready);
     }
 
     /// Finishes the stream; fails if a decision is still blocked (which means
@@ -203,43 +239,41 @@ impl ViewAssembler {
     /// decision or the queue empties. With a pending high-water mark set, a
     /// blocked node is forced once the buffer exceeds the mark.
     fn drain(&mut self) {
+        let mut direct = std::mem::take(&mut self.direct);
         while let Some(front) = self.queue.front() {
-            match &front.event {
-                Event::Open { .. } => {
-                    let mut decided = self.decide(front.annotation.as_ref(), false);
-                    if decided.is_none()
-                        && self
-                            .pending_high_water
-                            .is_some_and(|mark| self.queue.len() > mark)
-                    {
-                        self.stats.forced_resolutions += 1;
-                        decided = self.decide(front.annotation.as_ref(), true);
-                        debug_assert!(decided.is_some(), "forced decisions always resolve");
-                    }
-                    match decided {
-                        Some((decision, in_scope)) => {
-                            let QueuedEvent { event, .. } =
-                                // lint: infallible — the surrounding match is
-                                // on `self.queue.front()`, so the queue is
-                                // non-empty here.
-                                self.queue.pop_front().expect("front checked above");
-                            self.render_open(event, decision, in_scope);
-                        }
-                        None => break, // blocked on a pending predicate
-                    }
+            if let Event::Open { .. } = front.event {
+                let mut decided = self.decide(front.annotation.as_ref(), false, &mut direct);
+                if decided.is_none()
+                    && self
+                        .pending_high_water
+                        .is_some_and(|mark| self.queue.len() > mark)
+                {
+                    self.stats.forced_resolutions += 1;
+                    decided = self.decide(front.annotation.as_ref(), true, &mut direct);
+                    debug_assert!(decided.is_some(), "forced decisions always resolve");
                 }
-                Event::Text(_) => {
-                    let QueuedEvent { event, .. } =
-                        // lint: infallible — same `front()` match as above.
-                        self.queue.pop_front().expect("front checked above");
-                    self.render_text(event);
-                }
-                Event::Close(_) => {
-                    self.queue.pop_front();
-                    self.render_close();
+                let Some((decision, in_scope)) = decided else {
+                    break; // blocked on a pending predicate
+                };
+                let event = self.pop_front();
+                self.render_open(event, decision, in_scope);
+            } else {
+                match self.pop_front() {
+                    text @ Event::Text(_) => self.render_text(text),
+                    _ => self.render_close(),
                 }
             }
         }
+        self.direct = direct;
+    }
+
+    /// Pops the queue front (the caller saw it non-empty), releasing its
+    /// RAM charge.
+    fn pop_front(&mut self) -> Event {
+        // lint: infallible — every caller matched `self.queue.front()` first.
+        let queued = self.queue.pop_front().expect("queue front checked");
+        self.queue_bytes -= queued.ram;
+        queued.event
     }
 
     /// Computes the decision and query scope of a node, or `None` when an
@@ -251,7 +285,12 @@ impl ViewAssembler {
     /// instead of blocking: a permit that might apply is dropped, a denial
     /// that might apply is applied, a query that might match is treated as
     /// not matching — the node's subtree can only shrink, never leak.
-    fn decide(&self, annotation: Option<&NodeAnnotation>, force: bool) -> Option<(Decision, bool)> {
+    fn decide(
+        &self,
+        annotation: Option<&NodeAnnotation>,
+        force: bool,
+        direct: &mut Vec<DirectRule>,
+    ) -> Option<(Decision, bool)> {
         let truth = |id: InstanceId| self.truth(id);
 
         // Query scope: a node is in scope if an ancestor is, or if the query
@@ -276,8 +315,7 @@ impl ViewAssembler {
 
         // Rules applying directly to the node.
         let annotated_direct = annotation.map(|a| a.direct.as_slice()).unwrap_or(&[]);
-        // alloc: amortized — scratch bounded by the rules annotated on this one node.
-        let mut direct = Vec::with_capacity(annotated_direct.len());
+        direct.clear();
         for m in annotated_direct {
             let applies = match m.matches.evaluate(&truth) {
                 Some(applies) => applies,
@@ -292,7 +330,7 @@ impl ViewAssembler {
             }
         }
         let inherited = self.stack.last().map(|f| f.decision);
-        let decision = resolve(&self.policy, &direct, inherited);
+        let decision = resolve(&self.policy, direct, inherited);
         Some((decision, in_scope))
     }
 
@@ -313,13 +351,15 @@ impl ViewAssembler {
         } else {
             self.stats.nodes_withheld += 1;
         }
-        self.stack.push(RenderFrame {
+        let frame = RenderFrame {
             name,
             decision,
             in_scope,
             delivered,
             emitted: delivered,
-        });
+        };
+        self.stack_bytes += frame.ram_bytes();
+        self.stack.push(frame);
     }
 
     fn render_text(&mut self, event: Event) {
@@ -330,6 +370,7 @@ impl ViewAssembler {
 
     fn render_close(&mut self) {
         if let Some(frame) = self.stack.pop() {
+            self.stack_bytes -= frame.ram_bytes();
             if frame.emitted {
                 self.ready.push(Event::Close(frame.name));
             }
@@ -391,8 +432,10 @@ mod tests {
         let mut engine = RuleEngine::new(compiled, query.map(|q| compile_str(q).unwrap()));
         let mut assembler =
             ViewAssembler::new(policy, query.is_some()).with_pending_high_water(pending_high_water);
+        let mut outputs = Vec::new();
         for event in Parser::parse_all(doc).unwrap() {
-            for out in engine.process(&event) {
+            engine.process(event, &mut outputs);
+            for out in outputs.drain(..) {
                 assembler.push(out);
             }
         }
@@ -621,8 +664,10 @@ mod tests {
         let mut engine = RuleEngine::new(compiled, None);
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
         // Open <r><b><d> but never close: the d decision stays pending.
+        let mut outputs = Vec::new();
         for event in [Event::open("r"), Event::open("b"), Event::open("d")] {
-            for out in engine.process(&event) {
+            engine.process(event, &mut outputs);
+            for out in outputs.drain(..) {
                 assembler.push(out);
             }
         }
@@ -640,8 +685,10 @@ mod tests {
         }];
         let mut engine = RuleEngine::new(compiled, None);
         let mut assembler = ViewAssembler::new(AccessPolicy::paper(), false);
+        let mut outputs = Vec::new();
         for event in [Event::open("a"), Event::open("b")] {
-            for out in engine.process(&event) {
+            engine.process(event, &mut outputs);
+            for out in outputs.drain(..) {
                 assembler.push(out);
             }
         }
@@ -649,6 +696,8 @@ mod tests {
         assert_eq!(decision, Decision::Permit);
         assert!(in_scope);
         assert!(assembler.ram_bytes() > 0);
-        let _ = assembler.take_ready();
+        let mut ready = Vec::new();
+        assembler.take_ready(&mut ready);
+        assert_eq!(ready.len(), 2);
     }
 }

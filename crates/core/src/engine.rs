@@ -111,6 +111,7 @@ pub struct SecureEvaluationSession {
     /// dictionary becomes available.
     rule_signatures: Vec<(Sign, PathSignature)>,
     query_signature: Option<PathSignature>,
+    /// Authorized events produced and not yet taken by the driver.
     output: Vec<Event>,
     stats: SessionStats,
     next_chunk: u32,
@@ -181,7 +182,8 @@ impl SecureEvaluationSession {
         self.done
     }
 
-    /// Takes the authorized events produced so far.
+    /// Takes the authorized events produced since the last call: the only
+    /// way a driver reads the view.
     pub fn take_output(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.output)
     }
@@ -239,14 +241,15 @@ impl SecureEvaluationSession {
         Ok(())
     }
 
-    /// Supplies one encrypted chunk (with its Merkle proof). Returns the
-    /// authorized events that became available.
+    /// Supplies one encrypted chunk (with its Merkle proof). The authorized
+    /// events that became available are appended to the session's output,
+    /// read through [`SecureEvaluationSession::take_output`].
     pub fn supply_chunk(
         &mut self,
         index: u32,
         ciphertext: &[u8],
         proof: &MerkleProof,
-    ) -> Result<Vec<Event>, CoreError> {
+    ) -> Result<(), CoreError> {
         if self.done {
             return Err(CoreError::BadState {
                 message: "session already finished".into(),
@@ -305,8 +308,7 @@ impl SecureEvaluationSession {
             self.dict_buf.extend_from_slice(plaintext);
             if (self.dict_buf.len() as u64) < self.header.tokens_start {
                 self.next_chunk += 1;
-                self.check_ram()?;
-                return Ok(Vec::new());
+                return self.check_ram();
             }
             let dict_bytes = &self.dict_buf[..self.header.tokens_start as usize];
             let (dict, _) = TagDict::decode(dict_bytes).ok_or_else(|| CoreError::BadDocument {
@@ -326,9 +328,8 @@ impl SecureEvaluationSession {
         }
 
         // 4. Pump the reader.
-        let produced = self.pump()?;
-        self.check_ram()?;
-        Ok(produced)
+        self.pump()?;
+        self.check_ram()
     }
 
     /// Builds, for every installed rule and for the query, the tag-set
@@ -347,8 +348,7 @@ impl SecureEvaluationSession {
             .map(|q| PathSignature::build(&q.path, dict));
     }
 
-    fn pump(&mut self) -> Result<Vec<Event>, CoreError> {
-        let mut produced = Vec::new();
+    fn pump(&mut self) -> Result<(), CoreError> {
         loop {
             let result = self
                 .reader
@@ -363,7 +363,7 @@ impl SecureEvaluationSession {
                         message: "event received after the evaluator finished".into(),
                     })?;
                     self.stats.ledger.record_events(1);
-                    produced.extend(evaluator.push(&event));
+                    evaluator.push(event, &mut self.output);
                     self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.current_ram());
                 }
                 ReadResult::Token(TokenEvent::Summary(summary)) => {
@@ -399,14 +399,13 @@ impl SecureEvaluationSession {
                         message: "evaluator already finished".into(),
                     })?;
                     let (rest, stats) = evaluator.finish()?;
-                    produced.extend(rest);
+                    self.output.extend(rest);
                     self.stats.evaluator = Some(stats);
                     break;
                 }
             }
         }
-        self.output.extend(produced.iter().cloned());
-        Ok(produced)
+        Ok(())
     }
 
     /// Skip decision for a summarised subtree (§2.3: "detect rules and queries
@@ -461,35 +460,27 @@ impl SecureEvaluationSession {
 }
 
 /// Drives a session against an in-memory [`SecureDocument`], accounting the
-/// transfer of each served chunk + proof on the session ledger. This is the
-/// path used by unit tests and by the benches that do not need the APDU layer.
+/// transfer of each served chunk + proof on the session ledger, and returns
+/// the authorized view. This is the path used by unit tests and by the
+/// benches that do not need the APDU layer.
 pub fn run_local(
     document: &SecureDocument,
     session: &mut SecureEvaluationSession,
 ) -> Result<Vec<Event>, CoreError> {
     let mut output = Vec::new();
-    loop {
-        match session.next_request() {
-            SessionRequest::Done => break,
-            SessionRequest::NeedChunk(index) => {
-                let chunk = document
-                    .chunk(index as usize)
-                    .ok_or_else(|| CoreError::BadDocument {
-                        message: format!("chunk {index} out of range"),
-                    })?
-                    .to_vec();
-                let proof = document.proof(index as usize)?;
-                let wire = chunk.len() + proof.encode().len();
-                let produced = session.supply_chunk(index, &chunk, &proof)?;
-                let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
-                session
-                    .stats
-                    .ledger
-                    .channel
-                    .record_exchange(wire, produced_len);
-                output.extend(produced);
-            }
-        }
+    while let SessionRequest::NeedChunk(index) = session.next_request() {
+        let chunk = document
+            .chunk(index as usize)
+            .ok_or_else(|| CoreError::BadDocument {
+                message: format!("chunk {index} out of range"),
+            })?;
+        let proof = document.proof(index as usize)?;
+        let wire = chunk.len() + proof.encoded_len();
+        session.supply_chunk(index, chunk, &proof)?;
+        let produced = session.take_output();
+        let produced_len: usize = produced.iter().map(Event::serialized_len).sum();
+        session.record_exchange(wire, produced_len);
+        output.extend(produced);
     }
     Ok(output)
 }
@@ -502,8 +493,10 @@ pub fn evaluate_secure_document(
     config: EngineConfig,
 ) -> Result<(Vec<Event>, SessionStats), CoreError> {
     let mut session = SecureEvaluationSession::open(document.header.clone(), key.clone(), config)?;
-    run_local(document, &mut session)?;
-    session.finish()
+    let mut view = run_local(document, &mut session)?;
+    let (rest, stats) = session.finish()?;
+    view.extend(rest);
+    Ok((view, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -744,7 +737,8 @@ impl AccessControlApplet {
         // earlier when no session is open.
         let session = self.session.as_mut().expect("session checked above");
         match session.supply_chunk(index, ciphertext, &proof) {
-            Ok(events) => {
+            Ok(()) => {
+                let events = session.take_output();
                 // Mirror the session ledger into the card ledger so that card
                 // level reports include on-card crypto work.
                 card.ledger().record_decrypt(ciphertext.len());
@@ -867,6 +861,48 @@ mod tests {
         assert_eq!(writer::to_string(&events), writer::to_string(&expected));
         assert!(stats.chunks_fetched > 0);
         assert!(stats.evaluator.is_some());
+    }
+
+    #[test]
+    fn local_drivers_deliver_each_authorized_event_once() {
+        let doc = hospital_doc(6);
+        let secure = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&doc);
+        for (subject, query) in [
+            ("doctor", None),
+            ("secretary", None),
+            ("doctor", Some("//patient/name")),
+        ] {
+            let query = query.map(|q| Query::parse(q).unwrap());
+            let mut config = config_for(subject);
+            if let Some(q) = &query {
+                config.evaluator = config.evaluator.with_query(q.clone());
+            }
+            let expected = authorized_view_oracle(
+                &doc,
+                &medical_rules(),
+                &Subject::new(subject),
+                query.as_ref(),
+                &AccessPolicy::paper(),
+            );
+
+            // `run_local` hands over every event it reads and leaves none
+            // behind in the session.
+            let mut session =
+                SecureEvaluationSession::open(secure.header.clone(), key(), config.clone())
+                    .unwrap();
+            let view = run_local(&secure, &mut session).unwrap();
+            assert!(session.take_output().is_empty(), "{subject}");
+            let (rest, stats) = session.finish().unwrap();
+            assert!(rest.is_empty(), "{subject}");
+            assert_eq!(view, expected, "{subject}");
+            assert_eq!(view.len(), stats.evaluator.unwrap().events_out, "{subject}");
+
+            let (view, stats) = evaluate_secure_document(&secure, &key(), config).unwrap();
+            assert_eq!(view, expected, "{subject}");
+            assert_eq!(view.len(), stats.evaluator.unwrap().events_out, "{subject}");
+        }
     }
 
     #[test]
@@ -1071,6 +1107,64 @@ mod tests {
     }
 
     #[test]
+    fn relabelled_neighbour_proof_fails_integrity_before_decryption() {
+        // The DSP answers the request for chunk k with chunk k+1 and k+1's
+        // own proof relabelled as leaf k: the digests chain to the root, so
+        // only the leaf position can expose the swap.
+        let doc = hospital_doc(4);
+        let secure = SecureDocumentBuilder::new("folder", key())
+            .chunk_size(128)
+            .build(&doc);
+        let config = config_for("doctor").without_skip_index();
+        let mut session =
+            SecureEvaluationSession::open(secure.header.clone(), key(), config).unwrap();
+        // The first chunks carry the tag dictionary, later ones tokens: try
+        // the swap at both kinds.
+        let mut token_chunks = 0;
+        while token_chunks < 2 {
+            let SessionRequest::NeedChunk(index) = session.next_request() else {
+                panic!("expected a chunk request");
+            };
+            token_chunks += usize::from(session.reader.is_some());
+            let index = index as usize;
+            let mut relabelled = secure.proof(index + 1).unwrap();
+            relabelled.leaf_index = index;
+            let plaintext = session.plaintext.clone();
+            let ledger = session.stats().ledger.clone();
+            let fetched = session.stats().chunks_fetched;
+            let result =
+                session.supply_chunk(index as u32, secure.chunk(index + 1).unwrap(), &relabelled);
+            assert!(
+                matches!(
+                    result,
+                    Err(CoreError::Crypto(
+                        sdds_crypto::CryptoError::IntegrityFailure { .. }
+                    ))
+                ),
+                "chunk {index}: {result:?}"
+            );
+            assert_eq!(
+                session.plaintext, plaintext,
+                "chunk {index}: nothing decrypted"
+            );
+            assert_eq!(session.stats().ledger, ledger, "chunk {index}");
+            assert_eq!(session.stats().chunks_fetched, fetched, "chunk {index}");
+            assert_eq!(
+                session.next_request(),
+                SessionRequest::NeedChunk(index as u32)
+            );
+            // The genuine chunk is still accepted at that position.
+            session
+                .supply_chunk(
+                    index as u32,
+                    secure.chunk(index).unwrap(),
+                    &secure.proof(index).unwrap(),
+                )
+                .unwrap();
+        }
+    }
+
+    #[test]
     fn out_of_order_chunks_are_rejected() {
         let doc = hospital_doc(3);
         let secure = SecureDocumentBuilder::new("folder", key()).build(&doc);
@@ -1191,6 +1285,10 @@ mod tests {
                         )
                         .unwrap();
                 }
+                // The applet serialised what the chunk produced; the session
+                // retains none of the events it delivered.
+                let session = runtime.applet().session.as_ref().unwrap();
+                assert!(session.output.is_empty(), "chunk {index}");
             }
             let mut text = Vec::new();
             loop {
@@ -1235,6 +1333,30 @@ mod tests {
             // Channel accounting happened at the APDU layer.
             assert!(runtime.card().ledger_ref().channel.apdu_exchanges > 10);
             assert!(runtime.card().ledger_ref().channel.bytes_to_card > 1000);
+        }
+
+        #[test]
+        fn card_path_delivers_each_authorized_event_once() {
+            let server = TrustedServer::new(b"community", medical_rules());
+            let doc = hospital_doc(6);
+            let secure = SecureDocumentBuilder::new("folder", server.document_key())
+                .chunk_size(128)
+                .build(&doc);
+            for name in ["doctor", "secretary", "intruder"] {
+                let subject = Subject::new(name);
+                let applet = AccessControlApplet::new(name, server.transport_key_for(&subject));
+                let mut runtime = CardRuntime::new(CardProfile::modern_secure_element(), applet);
+                provision(&mut runtime, &server, &subject);
+                let view = run_document(&mut runtime, &secure);
+                let expected = authorized_view_oracle(
+                    &doc,
+                    &medical_rules(),
+                    &subject,
+                    None,
+                    &AccessPolicy::paper(),
+                );
+                assert_eq!(view, writer::to_string(&expected), "{name}");
+            }
         }
 
         #[test]

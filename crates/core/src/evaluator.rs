@@ -14,7 +14,7 @@ use crate::conflict::{AccessPolicy, Decision};
 use crate::error::CoreError;
 use crate::query::Query;
 use crate::rule::{RuleSet, Subject};
-use crate::runtime::{EngineRule, EngineStats, RuleEngine};
+use crate::runtime::{EngineOutput, EngineRule, EngineStats, RuleEngine};
 
 /// Configuration of a streaming evaluation session.
 #[derive(Debug, Clone)]
@@ -122,6 +122,8 @@ impl EvaluatorStats {
 pub struct StreamingEvaluator {
     engine: RuleEngine,
     assembler: ViewAssembler,
+    /// Reusable hand-off from the engine to the assembler.
+    engine_out: Vec<EngineOutput>,
     subject: Subject,
     events_in: usize,
     events_out: usize,
@@ -143,6 +145,7 @@ impl StreamingEvaluator {
             engine: RuleEngine::new(compiled, query),
             assembler: ViewAssembler::new(config.policy, has_query)
                 .with_pending_high_water(config.pending_high_water),
+            engine_out: Vec::new(),
             // alloc: startup — evaluator construction at session open.
             subject: config.subject.clone(),
             events_in: 0,
@@ -178,15 +181,17 @@ impl StreamingEvaluator {
         self.engine.remove_rule(id)
     }
 
-    /// Feeds one event and returns the authorized events that became ready.
-    pub fn push(&mut self, event: &Event) -> Vec<Event> {
+    /// Feeds one event and appends the authorized events that became ready
+    /// to `out`.
+    pub fn push(&mut self, event: Event, out: &mut Vec<Event>) {
         self.events_in += 1;
-        for output in self.engine.process(event) {
+        self.engine.process(event, &mut self.engine_out);
+        for output in self.engine_out.drain(..) {
             self.assembler.push(output);
         }
-        let ready = self.assembler.take_ready();
-        self.events_out += ready.len();
-        ready
+        let before = out.len();
+        self.assembler.take_ready(out);
+        self.events_out += out.len() - before;
     }
 
     /// Effective decision and query scope of the innermost open element when
@@ -234,8 +239,8 @@ impl StreamingEvaluator {
         ))
     }
 
-    /// Convenience helper: evaluates a whole event stream and returns the
-    /// authorized view and the statistics.
+    /// Convenience helper: evaluates a copy of a whole event stream and
+    /// returns the authorized view and the statistics.
     pub fn evaluate_all(
         config: &EvaluatorConfig,
         events: &[Event],
@@ -243,7 +248,7 @@ impl StreamingEvaluator {
         let mut evaluator = StreamingEvaluator::new(config)?;
         let mut out = Vec::new();
         for event in events {
-            out.extend(evaluator.push(event));
+            evaluator.push(event.clone(), &mut out);
         }
         let (rest, stats) = evaluator.finish()?;
         out.extend(rest);
@@ -254,6 +259,8 @@ impl StreamingEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rule::{AccessRule, RuleId, Sign};
+    use sdds_xml::generator::{self, GeneratorConfig, RandomProfile};
     use sdds_xml::{writer, Parser};
 
     fn medical_rules() -> RuleSet {
@@ -374,10 +381,12 @@ mod tests {
         let events = Parser::parse_all(&doc()).unwrap();
         let mut produced_early = false;
         let mut total = 0usize;
-        for (i, ev) in events.iter().enumerate() {
-            let out = eval.push(ev);
+        let half = events.len() / 2;
+        for (i, ev) in events.into_iter().enumerate() {
+            let mut out = Vec::new();
+            eval.push(ev, &mut out);
             total += out.len();
-            if i < events.len() / 2 && !out.is_empty() {
+            if i < half && !out.is_empty() {
                 produced_early = true;
             }
         }
@@ -512,5 +521,141 @@ mod tests {
         let view = writer::to_string(&out);
         assert!(view.contains("ok"));
         assert!(!view.contains("blocked"));
+    }
+
+    /// Cases per property: `SDDS_PROP_CASES` when set and parseable, else 64.
+    fn prop_cases() -> u64 {
+        std::env::var("SDDS_PROP_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(64)
+    }
+
+    /// Deterministic xorshift64* generator for the seeded properties.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random rule object over the `t0..t5` vocabulary of the random
+    /// generator, with every predicate shape: child existence (a predicate
+    /// run), direct-text existence and value conditions on the element's own
+    /// or a child's text (watchers).
+    fn random_path(rng: &mut Rng) -> String {
+        let mut path = String::new();
+        for _ in 0..1 + rng.below(3) {
+            path.push_str(if rng.below(2) == 0 { "/" } else { "//" });
+            match rng.below(3) {
+                0 => path.push_str("root"),
+                1 => path.push_str(&format!("t{}", rng.below(6))),
+                _ => path.push('*'),
+            }
+            match rng.below(5) {
+                0 => {}
+                1 => path.push_str(&format!("[t{}]", rng.below(6))),
+                2 => path.push_str("[.]"),
+                3 => path.push_str("[. != \"q\"]"),
+                _ => path.push_str(&format!("[t{} != \"q\"]", rng.below(6))),
+            }
+        }
+        path
+    }
+
+    fn assert_ram_totals(evaluator: &StreamingEvaluator, case: u64, at: &str) {
+        assert_eq!(
+            evaluator.engine.ram_bytes(),
+            evaluator.engine.ram_bytes_recount(),
+            "case {case}, {at}: engine running total"
+        );
+        assert_eq!(
+            evaluator.assembler.ram_bytes(),
+            evaluator.assembler.ram_bytes_recount(),
+            "case {case}, {at}: assembler running total"
+        );
+    }
+
+    /// The engine's and the assembler's running RAM totals equal a full walk
+    /// of their state after every event, across predicates (watchers, the
+    /// pending queue), forced resolutions under a pending high-water mark,
+    /// and a mid-stream rule addition and removal.
+    #[test]
+    fn running_ram_totals_match_a_full_recount() {
+        let (mut watched, mut queued, mut forced, mut rebuilt) = (0, 0, 0, 0);
+        for case in 0..prop_cases() {
+            let mut rng = Rng(0x7A11_0C47 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let doc = generator::random(
+                &RandomProfile {
+                    elements: 1 + rng.below(150) as usize,
+                    max_depth: 2 + rng.below(6) as usize,
+                    max_fanout: 1 + rng.below(4) as usize,
+                    vocabulary: 2 + rng.below(5) as usize,
+                    text_probability: 0.6,
+                },
+                &GeneratorConfig {
+                    seed: rng.next(),
+                    text_len: 8,
+                },
+            );
+            let mut rules = RuleSet::new();
+            // One watcher rule per case, then random ones.
+            rules.push(Sign::Permit, "user", "//*[. != \"q\"]").unwrap();
+            for _ in 0..rng.below(6) {
+                let sign = if rng.below(2) == 0 {
+                    Sign::Permit
+                } else {
+                    Sign::Deny
+                };
+                rules.push(sign, "user", &random_path(&mut rng)).unwrap();
+            }
+            let rule_count = rules.len() as u64;
+            let mut config = EvaluatorConfig::new(rules, "user");
+            if rng.below(3) == 0 {
+                config = config.with_query(Query::parse(&random_path(&mut rng)).unwrap());
+            }
+            if case % 2 == 1 {
+                config = config.with_pending_high_water(1 + rng.below(4) as usize);
+            }
+            let mut evaluator = StreamingEvaluator::new(&config).unwrap();
+            assert_ram_totals(&evaluator, case, "at open");
+
+            let events = doc.to_events();
+            let churn_at = rng.below(events.len() as u64 + 1) as usize;
+            let mut out = Vec::new();
+            for (i, event) in events.into_iter().enumerate() {
+                if i == churn_at {
+                    let path = random_path(&mut rng);
+                    let added = AccessRule::deny(1000, "user", &path).unwrap();
+                    evaluator.add_rule(&added).unwrap();
+                    assert_ram_totals(&evaluator, case, &format!("after add_rule at {i}"));
+                    evaluator.remove_rule(RuleId(rng.below(rule_count) as u32));
+                    assert_ram_totals(&evaluator, case, &format!("after remove_rule at {i}"));
+                    rebuilt += 1;
+                }
+                // Text only grows the engine's share through a watcher.
+                let is_text = matches!(event, Event::Text(_));
+                let before = evaluator.engine.ram_bytes();
+                evaluator.push(event, &mut out);
+                assert_ram_totals(&evaluator, case, &format!("event {i}"));
+                watched += usize::from(is_text && evaluator.engine.ram_bytes() > before);
+            }
+            let (_, stats) = evaluator.finish().unwrap();
+            queued += usize::from(stats.assembler.peak_pending_events > 1);
+            forced += usize::from(stats.assembler.forced_resolutions > 0);
+        }
+        // The generated cases do exercise what the totals must follow.
+        if prop_cases() >= 16 {
+            assert!(watched > 0 && queued > 0 && forced > 0 && rebuilt > 0);
+        }
     }
 }

@@ -232,6 +232,15 @@ struct Frame {
 }
 
 impl Frame {
+    /// Empties the frame, keeping its vectors' capacity for reuse.
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.pred_runs.clear();
+        self.watchers.clear();
+        self.owned_instances.clear();
+        self.touched.clear();
+    }
+
     fn ram_bytes(&self) -> usize {
         // With interned names the stack entry itself is a token id, not the
         // tag string: charge a small fixed bookkeeping cost per frame.
@@ -317,6 +326,17 @@ pub struct RuleEngine {
     /// Reusable per-event scratch (candidate snapshot).
     scratch: Vec<BucketEntry>,
     root_scratch: Vec<EdgeId>,
+    /// Reusable per-open scratch: the rules matching the element being
+    /// opened, and the one pending instance per deferred predicate.
+    open_direct: Vec<(usize, MatchAlternatives)>,
+    open_memo: Vec<(PredId, InstanceId)>,
+    /// Cleared frames kept for reuse, so an open does not allocate the
+    /// vectors of its frame anew.
+    spare_frames: Vec<Frame>,
+    /// Sum of [`Frame::ram_bytes`] over the token stack, updated where a
+    /// frame is pushed, popped or grows (incremental — walking the stack per
+    /// event would charge every event for the document depth).
+    frame_bytes: usize,
     /// Unresolved pending instances (incremental — the instance pool is
     /// append-only, so scanning it per event would be quadratic in stream
     /// length).
@@ -344,6 +364,10 @@ impl RuleEngine {
             wild_bucket: Vec::new(),
             scratch: Vec::new(),
             root_scratch: Vec::new(),
+            open_direct: Vec::new(),
+            open_memo: Vec::new(),
+            spare_frames: Vec::new(),
+            frame_bytes: Frame::default().ram_bytes(),
             unresolved_instances: 0,
             bucket_entries: 0,
             stats: EngineStats::default(),
@@ -420,15 +444,25 @@ impl RuleEngine {
         self.unresolved_instances > 0
     }
 
-    /// Current secure-RAM footprint of the engine structures, in bytes. Only
-    /// the token stack is walked (bounded by document depth); the instance and
-    /// bucket contributions are tracked incrementally.
+    /// Current secure-RAM footprint of the engine structures, in bytes. Every
+    /// term is a running total, so this is O(1).
     pub fn ram_bytes(&self) -> usize {
-        let frames: usize = self.frames.iter().map(Frame::ram_bytes).sum();
-        // An unresolved instance is one predicate-set entry referencing a
-        // shared program (the program itself lives with the compiled rules in
-        // program memory); resolved instances boil down to one bit.
+        self.ram_with_frames(self.frame_bytes)
+    }
+
+    /// The footprint given the token stack's share: an unresolved instance is
+    /// one predicate-set entry referencing a shared program (the program
+    /// itself lives with the compiled rules in program memory); resolved
+    /// instances boil down to one bit.
+    fn ram_with_frames(&self, frames: usize) -> usize {
         frames + self.bucket_entries * 4 + self.unresolved_instances * 8 + self.instances.len() / 8
+    }
+
+    /// [`RuleEngine::ram_bytes`] recomputed by walking the token stack: the
+    /// oracle the running total is checked against.
+    #[cfg(test)]
+    pub(crate) fn ram_bytes_recount(&self) -> usize {
+        self.ram_with_frames(self.frames.iter().map(Frame::ram_bytes).sum())
     }
 
     /// Installs an additional rule mid-stream. The combined automaton is
@@ -561,28 +595,36 @@ impl RuleEngine {
                 &mut self.bucket_entries,
             );
         }
+        // The remap rewrote every frame's runs and bucket registrations.
+        self.frame_bytes = self.frames.iter().map(Frame::ram_bytes).sum();
     }
 
-    /// Processes one event and returns the engine outputs it triggers.
-    pub fn process(&mut self, event: &Event) -> Vec<EngineOutput> {
+    /// Processes one event, appending the engine outputs it triggers to
+    /// `outputs`. The event itself moves into its [`EngineOutput::Annotated`].
+    pub fn process(&mut self, event: Event, outputs: &mut Vec<EngineOutput>) {
         self.stats.events += 1;
-        let mut outputs = Vec::new();
-        match event {
-            Event::Open { name, attrs } => self.process_open(name, attrs, event, &mut outputs),
-            Event::Text(text) => self.process_text(text, event, &mut outputs),
-            Event::Close(_) => self.process_close(event, &mut outputs),
-        }
+        let annotation = match &event {
+            Event::Open { name, attrs } => Some(self.process_open(name, attrs, outputs)),
+            Event::Text(text) => {
+                self.process_text(text, outputs);
+                None
+            }
+            Event::Close(_) => {
+                self.process_close(outputs);
+                None
+            }
+        };
+        outputs.push(EngineOutput::Annotated { event, annotation });
         self.stats.peak_ram_bytes = self.stats.peak_ram_bytes.max(self.ram_bytes());
-        outputs
     }
 
+    /// Steps the automata over an opening tag and returns its annotation.
     fn process_open(
         &mut self,
         name: &str,
         attrs: &[Attribute],
-        event: &Event,
         outputs: &mut Vec<EngineOutput>,
-    ) {
+    ) -> NodeAnnotation {
         let depth = self.frames.len(); // depth of the element being opened
         let sym = self.table.symbols().lookup(name);
 
@@ -599,10 +641,11 @@ impl RuleEngine {
         }
         scratch.extend_from_slice(&self.wild_bucket);
 
-        let mut new_frame = Frame::default();
-        let mut direct: Vec<(usize, MatchAlternatives)> = Vec::new();
+        let mut new_frame = self.spare_frames.pop().unwrap_or_default();
+        let mut direct = std::mem::take(&mut self.open_direct);
         let mut query_match: Option<MatchAlternatives> = None;
-        let mut memo: Vec<(PredId, InstanceId)> = Vec::new();
+        let mut memo = std::mem::take(&mut self.open_memo);
+        memo.clear();
 
         {
             let RuleEngine {
@@ -652,21 +695,23 @@ impl RuleEngine {
         }
         self.scratch = scratch;
         self.root_scratch = root_scratch;
+        self.open_memo = memo;
 
         // Assemble the annotation and push + register the frame.
         let mut annotation = NodeAnnotation {
-            // alloc: amortized — annotation scratch bounded by the rules matching this node.
+            // alloc: amortized — the node's annotation, sized to the rules matching it (none: no allocation).
             direct: Vec::with_capacity(direct.len()),
             query: query_match,
         };
         direct.sort_unstable_by_key(|(i, _)| *i);
-        for (i, matches) in direct {
+        for (i, matches) in direct.drain(..) {
             annotation.direct.push(DirectMatch {
                 rule: self.rules[i].id,
                 sign: self.rules[i].sign,
                 matches,
             });
         }
+        self.open_direct = direct;
         self.frames.push(new_frame);
         // lint: infallible — pushed on the preceding line.
         let frame = self.frames.last_mut().expect("frame just pushed");
@@ -679,14 +724,11 @@ impl RuleEngine {
             &mut self.wild_bucket,
             &mut self.bucket_entries,
         );
-        outputs.push(EngineOutput::Annotated {
-            // alloc: amortized — the hand-off to the assembler owns its event; one copy per node.
-            event: event.clone(),
-            annotation: Some(annotation),
-        });
+        self.frame_bytes += frame.ram_bytes();
+        annotation
     }
 
-    fn process_text(&mut self, text: &str, event: &Event, outputs: &mut Vec<EngineOutput>) {
+    fn process_text(&mut self, text: &str, outputs: &mut Vec<EngineOutput>) {
         // Feed the watchers of the element directly containing this text.
         let depth = self.frames.len() - 1;
         let mut resolved_now: Vec<(InstanceId, bool)> = Vec::new();
@@ -697,6 +739,7 @@ impl RuleEngine {
                     continue;
                 }
                 w.buffer.push_str(text);
+                self.frame_bytes += text.len();
                 w.saw_text = true;
                 if w.condition.is_none() && !text.trim().is_empty() {
                     // Existence of direct text is enough.
@@ -713,18 +756,14 @@ impl RuleEngine {
                 value,
             );
         }
-        outputs.push(EngineOutput::Annotated {
-            // alloc: amortized — the hand-off to the assembler owns its event; one copy per node.
-            event: event.clone(),
-            annotation: None,
-        });
     }
 
-    fn process_close(&mut self, event: &Event, outputs: &mut Vec<EngineOutput>) {
+    fn process_close(&mut self, outputs: &mut Vec<EngineOutput>) {
         let depth = (self.frames.len() - 1) as u32;
         // lint: infallible — the tokenizer only emits balanced events, so
         // every close has a matching open frame.
-        let frame = self.frames.pop().expect("close without a matching open");
+        let mut frame = self.frames.pop().expect("close without a matching open");
+        self.frame_bytes -= frame.ram_bytes();
         // Unregister the frame's bucket entries (always the bucket suffix:
         // registrations only ever target the innermost open element).
         for &b in &frame.touched {
@@ -768,11 +807,8 @@ impl RuleEngine {
                 false,
             );
         }
-        outputs.push(EngineOutput::Annotated {
-            // alloc: amortized — the hand-off to the assembler owns its event; one copy per node.
-            event: event.clone(),
-            annotation: None,
-        });
+        frame.clear();
+        self.spare_frames.push(frame);
     }
 }
 
@@ -1043,8 +1079,18 @@ mod tests {
     }
 
     fn run(engine: &mut RuleEngine, doc: &str) -> Vec<EngineOutput> {
-        let events = Parser::parse_all(doc).unwrap();
-        events.iter().flat_map(|e| engine.process(e)).collect()
+        let mut outputs = Vec::new();
+        for event in Parser::parse_all(doc).unwrap() {
+            engine.process(event, &mut outputs);
+        }
+        outputs
+    }
+
+    /// Feeds a copy of `event` and returns the outputs it triggers.
+    fn feed(engine: &mut RuleEngine, event: &Event) -> Vec<EngineOutput> {
+        let mut outputs = Vec::new();
+        engine.process(event.clone(), &mut outputs);
+        outputs
     }
 
     /// Collects, for each element (in document order), the rules that matched
@@ -1223,15 +1269,15 @@ mod tests {
     fn active_positions_reflect_partial_matches() {
         let mut e = engine_for(&[("/a/b/c", Sign::Permit)], None);
         let events = Parser::parse_all("<a><b><c/></b></a>").unwrap();
-        e.process(&events[0]); // <a>
+        feed(&mut e, &events[0]); // <a>
         assert_eq!(e.active_positions(), vec![vec![0, 1]]);
-        e.process(&events[1]); // <b>
+        feed(&mut e, &events[1]); // <b>
         assert_eq!(e.active_positions(), vec![vec![0, 1, 2]]);
-        e.process(&events[2]); // <c>
-        e.process(&events[3]); // </c>
-        e.process(&events[4]); // </b>
+        feed(&mut e, &events[2]); // <c>
+        feed(&mut e, &events[3]); // </c>
+        feed(&mut e, &events[4]); // </b>
         assert_eq!(e.active_positions(), vec![vec![0, 1]]);
-        e.process(&events[5]); // </a>
+        feed(&mut e, &events[5]); // </a>
         assert_eq!(e.active_positions(), vec![vec![0]]);
         assert_eq!(e.depth(), 0);
     }
@@ -1276,12 +1322,12 @@ mod tests {
         let events = Parser::parse_all(&deep).unwrap();
         let mut max_seen = 0usize;
         for ev in &events[..10] {
-            e.process(ev);
+            feed(&mut e, ev);
             max_seen = max_seen.max(e.ram_bytes());
         }
         let at_peak = e.ram_bytes();
         for ev in &events[10..] {
-            e.process(ev);
+            feed(&mut e, ev);
         }
         assert!(e.ram_bytes() < at_peak);
         assert!(e.stats().peak_ram_bytes >= max_seen);
@@ -1336,9 +1382,9 @@ mod tests {
         let mut e = engine_for(&[("//a", Sign::Permit)], None);
         let events = Parser::parse_all("<r><b/><b/></r>").unwrap();
         let mut out = Vec::new();
-        out.extend(e.process(&events[0])); // <r>
-        out.extend(e.process(&events[1])); // <b/> — not matched yet
-        out.extend(e.process(&events[2]));
+        out.extend(feed(&mut e, &events[0])); // <r>
+        out.extend(feed(&mut e, &events[1])); // <b/> — not matched yet
+        out.extend(feed(&mut e, &events[2]));
         e.add_rule(EngineRule {
             id: RuleId(7),
             sign: Sign::Deny,
@@ -1354,7 +1400,7 @@ mod tests {
             })
             .is_err());
         for ev in &events[3..] {
-            out.extend(e.process(ev));
+            out.extend(feed(&mut e, ev));
         }
         let matches = unconditional_matches(&out);
         assert_eq!(
@@ -1375,13 +1421,13 @@ mod tests {
         let mut out = Vec::new();
         // Process through the first <y/> (events: <r>, <x>, <y>, </y>).
         for ev in &events[..4] {
-            out.extend(e.process(ev));
+            out.extend(feed(&mut e, ev));
         }
         // Remove //x/y while <x> is still open; rule 1 (//y) keeps matching.
         assert!(e.remove_rule(RuleId(0)));
         assert!(!e.remove_rule(RuleId(0)), "already removed");
         for ev in &events[4..] {
-            out.extend(e.process(ev));
+            out.extend(feed(&mut e, ev));
         }
         let matches = unconditional_matches(&out);
         assert_eq!(
@@ -1402,8 +1448,8 @@ mod tests {
         let mut e = engine_for(&[("//a//c", Sign::Permit)], None);
         let events = Parser::parse_all("<a><b><c/></b></a>").unwrap();
         let mut out = Vec::new();
-        out.extend(e.process(&events[0])); // <a>
-        out.extend(e.process(&events[1])); // <b>
+        out.extend(feed(&mut e, &events[0])); // <a>
+        out.extend(feed(&mut e, &events[1])); // <b>
         e.add_rule(EngineRule {
             id: RuleId(9),
             sign: Sign::Deny,
@@ -1411,7 +1457,7 @@ mod tests {
         })
         .unwrap();
         for ev in &events[2..] {
-            out.extend(e.process(ev));
+            out.extend(feed(&mut e, ev));
         }
         let matches = unconditional_matches(&out);
         assert_eq!(matches[2], ("c".into(), vec![0]));

@@ -53,6 +53,9 @@ pub struct TokenReader {
     stream_len: u64,
     /// Absolute offset of `window[0]`.
     window_start: u64,
+    /// Supplied plaintext from `window_start`; the bytes before `cursor` are
+    /// consumed and only dropped when the next chunk is supplied, so decoding
+    /// a token does not shift the rest of the window.
     window: Vec<u8>,
     /// Absolute offset of the next byte to decode.
     cursor: u64,
@@ -99,9 +102,10 @@ impl TokenReader {
         self.depth
     }
 
-    /// Bytes currently buffered in the reader window (charged to secure RAM).
+    /// Unconsumed bytes buffered in the reader window (charged to secure
+    /// RAM).
     pub fn window_bytes(&self) -> usize {
-        self.window.len()
+        self.window.len() - self.rel()
     }
 
     /// True once every byte of the stream has been consumed or skipped.
@@ -113,6 +117,10 @@ impl TokenReader {
     /// has already consumed are ignored; a gap after the current window is an
     /// error.
     pub fn supply(&mut self, offset: u64, bytes: &[u8]) -> Result<(), CoreError> {
+        // Drop the consumed prefix, once per supplied chunk.
+        let consumed = self.rel();
+        self.window.drain(..consumed);
+        self.window_start += consumed as u64;
         let end = offset + bytes.len() as u64;
         if self.window.is_empty() {
             if end <= self.cursor {
@@ -156,10 +164,6 @@ impl TokenReader {
         let window_end = self.window_start + self.window.len() as u64;
         if self.cursor >= window_end {
             self.window.clear();
-            self.window_start = self.cursor;
-        } else {
-            let keep_from = (self.cursor - self.window_start) as usize;
-            self.window.drain(..keep_from);
             self.window_start = self.cursor;
         }
         // A skip consumes the content of the element that was just opened; the
@@ -320,9 +324,6 @@ impl TokenReader {
 
     fn consume(&mut self, bytes: usize) {
         self.cursor += bytes as u64;
-        let keep_from = (self.cursor - self.window_start) as usize;
-        self.window.drain(..keep_from);
-        self.window_start = self.cursor;
     }
 }
 

@@ -27,7 +27,10 @@ pub struct MerkleProof {
     /// Index of the proven leaf.
     pub leaf_index: usize,
     /// Sibling digest at each level, with a flag telling whether the sibling
-    /// is on the right (`true`) or on the left (`false`).
+    /// is on the right (`true`) or on the left (`false`). The flags are
+    /// redundant with `leaf_index` (bit `l` of the index is 0 exactly when
+    /// the level-`l` sibling is on the right); verification derives the sides
+    /// from the index and rejects a proof whose flags disagree.
     pub siblings: Vec<([u8; DIGEST_SIZE], bool)>,
 }
 
@@ -134,11 +137,23 @@ impl MerkleTree {
 }
 
 impl MerkleProof {
-    /// Verifies that `chunk` is the leaf this proof commits to, under `root`.
+    /// Verifies that `chunk` is the leaf at position `leaf_index` under
+    /// `root`. The side of each sibling is taken from the bits of
+    /// `leaf_index`, so the proof of one leaf cannot be relabelled as the
+    /// proof of another: a side flag that disagrees with the position, or a
+    /// position beyond the proof's depth, fails like a wrong digest.
     pub fn verify(&self, chunk: &[u8], root: &[u8; DIGEST_SIZE]) -> Result<(), CryptoError> {
+        let depth = self.siblings.len() as u32;
+        if self.leaf_index.checked_shr(depth).unwrap_or(0) != 0 {
+            return Err(self.integrity_failure("leaf index beyond the proof's depth"));
+        }
         let mut digest = hash_leaf(chunk);
-        for (sibling, sibling_is_right) in &self.siblings {
-            digest = if *sibling_is_right {
+        for (level, (sibling, flag)) in self.siblings.iter().enumerate() {
+            let sibling_is_right = (self.leaf_index >> level) & 1 == 0;
+            if *flag != sibling_is_right {
+                return Err(self.integrity_failure("sibling side disagrees with the leaf index"));
+            }
+            digest = if sibling_is_right {
                 hash_node(&digest, sibling)
             } else {
                 hash_node(sibling, &digest)
@@ -147,10 +162,14 @@ impl MerkleProof {
         if &digest == root {
             Ok(())
         } else {
-            Err(CryptoError::IntegrityFailure {
-                // alloc: cold — integrity-failure error path.
-                context: format!("merkle proof for chunk {}", self.leaf_index),
-            })
+            Err(self.integrity_failure("root mismatch"))
+        }
+    }
+
+    fn integrity_failure(&self, reason: &str) -> CryptoError {
+        CryptoError::IntegrityFailure {
+            // alloc: cold — integrity-failure error path.
+            context: format!("merkle proof for chunk {} ({reason})", self.leaf_index),
         }
     }
 
@@ -276,6 +295,69 @@ mod tests {
         let tree = MerkleTree::build(&data);
         let proof = tree.proof(2).unwrap();
         assert!(proof.verify(&data[5], &tree.root()).is_err());
+    }
+
+    fn is_integrity_failure(result: Result<(), CryptoError>) -> bool {
+        matches!(result, Err(CryptoError::IntegrityFailure { .. }))
+    }
+
+    #[test]
+    fn relabelled_proof_of_a_neighbour_is_rejected() {
+        // Leaf k+1 served with its own (valid) proof relabelled as leaf k:
+        // the digests chain to the root, but the sides belong to k+1.
+        for n in [2usize, 3, 5, 8, 9] {
+            let data = chunks(n);
+            let tree = MerkleTree::build(&data);
+            for k in 0..n - 1 {
+                let mut relabelled = tree.proof(k + 1).unwrap();
+                relabelled.leaf_index = k;
+                assert!(
+                    is_integrity_failure(relabelled.verify(&data[k + 1], &tree.root())),
+                    "n={n} k={k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn side_flags_must_match_the_leaf_index() {
+        let data = chunks(8);
+        let tree = MerkleTree::build(&data);
+        let root = tree.root();
+        for (i, chunk) in data.iter().enumerate() {
+            for level in 0..3 {
+                let mut flipped = tree.proof(i).unwrap();
+                flipped.siblings[level].1 ^= true;
+                assert!(
+                    is_integrity_failure(flipped.verify(chunk, &root)),
+                    "i={i} level={level}"
+                );
+            }
+        }
+        // An index with bits above the proof's depth names no leaf of it.
+        let mut beyond = tree.proof(3).unwrap();
+        beyond.leaf_index = 3 + 8;
+        assert!(is_integrity_failure(beyond.verify(&data[3], &root)));
+        beyond.leaf_index = usize::MAX;
+        assert!(is_integrity_failure(beyond.verify(&data[3], &root)));
+        let single = MerkleTree::build(&chunks(1));
+        let mut lone = single.proof(0).unwrap();
+        lone.leaf_index = 1;
+        assert!(is_integrity_failure(
+            lone.verify(b"chunk-0", &single.root())
+        ));
+    }
+
+    #[test]
+    fn odd_node_promotion_keeps_honest_proofs_valid() {
+        // The last leaf of an odd level is hashed with itself; its sibling
+        // flag (right) still matches its even position.
+        for n in [3usize, 5, 6, 7, 11] {
+            let data = chunks(n);
+            let tree = MerkleTree::build(&data);
+            let last = tree.proof(n - 1).unwrap();
+            last.verify(&data[n - 1], &tree.root()).unwrap();
+        }
     }
 
     #[test]

@@ -19,6 +19,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build --release --offline --manifest-path sddsbench/Cargo.toml"
+# The benchmark package is frozen and calls the program's public API (its
+# stream replay drives `supply_chunk`/`take_output` directly), so an API
+# change that breaks it must fail here. The build goes to the workspace's
+# target directory and `--locked` keeps its lock file as committed: nothing
+# is written under sddsbench/.
+CARGO_TARGET_DIR=target/sddsbench cargo build --release --offline --locked \
+    --manifest-path sddsbench/Cargo.toml
+
 echo "==> sdds-lint (concurrency + panic hygiene + taint + hot-path escapes)"
 # The taint pass statically proves no plaintext or key type reaches the DSP
 # or the obs export surface (see ARCHITECTURE.md, "Trust boundary"); the

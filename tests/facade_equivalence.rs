@@ -157,3 +157,39 @@ fn scheduler_multiplexed_sessions_match_direct_facade_pulls() {
         );
     }
 }
+
+#[test]
+fn view_stream_delivers_each_authorized_event_once() {
+    // The stream yields exactly the oracle's events, in order, and no more
+    // than the evaluator authorized: nothing is duplicated between the
+    // per-chunk hand-off and the end of the session.
+    let doc = document();
+    let publisher = Publisher::builder(b"hospital-2005")
+        .rules(rules())
+        .build()
+        .unwrap();
+    publisher.publish("folders", &doc).unwrap();
+    for (subject, query) in SUBJECTS {
+        let mut builder = Client::builder(*subject);
+        if let Some(q) = query {
+            builder = builder.query(*q);
+        }
+        let client = builder.provision(&publisher).unwrap();
+        let mut stream = client.open_stream("folders").unwrap();
+        let events: Vec<_> = stream.by_ref().map(Result::unwrap).collect();
+        let oracle = authorized_view_oracle(
+            &doc,
+            &rules(),
+            &Subject::new(*subject),
+            query.map(|q| sdds_core::Query::parse(q).unwrap()).as_ref(),
+            &AccessPolicy::paper(),
+        );
+        assert_eq!(events, oracle, "`{subject}`");
+        let stats = stream.stats().expect("exhausted stream has stats");
+        assert_eq!(
+            events.len(),
+            stats.evaluator.unwrap().events_out,
+            "`{subject}`: delivered vs authorized event count"
+        );
+    }
+}
